@@ -31,7 +31,9 @@ import (
 	"fpm/internal/exp"
 	"fpm/internal/memsim"
 	"fpm/internal/mine"
+	"fpm/internal/parallel"
 	"fpm/internal/simkern"
+	"fpm/internal/trace"
 )
 
 // Shared workloads, built once. Sizes are laptop-friendly; the cmd/fpmexp
@@ -464,7 +466,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 				b.Run(name, func(b *testing.B) {
 					opts := []ParallelOption{}
 					if mode == "firstlevel" {
-						opts = append(opts, ParallelFirstLevelOnly())
+						opts = append(opts, parallel.WithFirstLevelOnly(true))
 					}
 					m, err := NewParallel(workers, k.algo, 0, opts...)
 					if err != nil {
@@ -639,7 +641,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 	benchSkewSetup()
 	seq := func(rec *MetricsRecorder) func(b *testing.B) {
 		return func(b *testing.B) {
-			m, err := NewMinerWithMetrics(LCM, 0, rec)
+			m, err := newInstrumentedMiner(LCM, 0, rec, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -690,7 +692,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // at -benchtime 1x as a compile canary.
 func BenchmarkTraceOverhead(b *testing.B) {
 	benchSkewSetup()
-	seq := func(tr *TraceRecorder) func(b *testing.B) {
+	seq := func(tr *trace.Recorder) func(b *testing.B) {
 		return func(b *testing.B) {
 			m, err := newInstrumentedMiner(LCM, 0, nil, tr, nil)
 			if err != nil {
@@ -708,13 +710,13 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	}
 	b.Run("lcm/off", seq(nil))
-	b.Run("lcm/on", seq(NewTraceRecorder(io.Discard)))
+	b.Run("lcm/on", seq(trace.NewRecorder(trace.WithOutput(io.Discard))))
 
-	par := func(tr *TraceRecorder) func(b *testing.B) {
+	par := func(tr *trace.Recorder) func(b *testing.B) {
 		return func(b *testing.B) {
 			opts := []ParallelOption{}
 			if tr != nil {
-				opts = append(opts, ParallelTrace(tr))
+				opts = append(opts, parallel.WithTrace(tr))
 			}
 			m, err := NewParallel(4, LCM, 0, opts...)
 			if err != nil {
@@ -729,7 +731,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 	}
 	b.Run("parallel4/off", par(nil))
-	b.Run("parallel4/on", par(NewTraceRecorder(io.Discard)))
+	b.Run("parallel4/on", par(trace.NewRecorder(trace.WithOutput(io.Discard))))
 }
 
 // BenchmarkCancelOverhead measures the robustness layer's disabled-path

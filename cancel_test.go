@@ -78,16 +78,16 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 	assertNoGoroutineGrowth(t, before)
 }
 
-// TestCancelSequentialKernels: lcm, eclat and fpgrowth poll the flag at
-// recursion nodes through MineContext; hmine through the observed path.
-// All must surface *CancelledError.
+// TestCancelSequentialKernels: lcm, eclat, fpgrowth and hmine poll the
+// flag at recursion nodes on the sequential observed path. All must
+// surface *CancelledError.
 func TestCancelSequentialKernels(t *testing.T) {
 	benchSkewSetup()
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, "hmine"} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {
-				sets, err := MineContext(ctx, benchSkew, algo, Applicable(algo), benchSkewSupport)
+				sets, _, err := WithMetrics(benchSkew, algo, Applicable(algo), benchSkewSupport, 1, WithContext(ctx))
 				if err == nil && len(sets) == 0 {
 					t.Fatal("completed run found nothing: degenerate corpus")
 				}
@@ -99,12 +99,6 @@ func TestCancelSequentialKernels(t *testing.T) {
 			})
 		})
 	}
-	t.Run("hmine", func(t *testing.T) {
-		assertCancelsPromptly(t, func(ctx context.Context) error {
-			_, _, err := WithMetrics(benchSkew, "hmine", 0, benchSkewSupport, 1, WithContext(ctx))
-			return err
-		})
-	})
 }
 
 // TestCancelParallel: the pool must drain queued tasks and join all
@@ -180,26 +174,26 @@ func TestCancelPartitioned(t *testing.T) {
 	}
 }
 
-// TestMineContextUncancelled: a background context adds no failure mode —
-// results equal plain Mine, and a deadline that never fires behaves the
-// same.
-func TestMineContextUncancelled(t *testing.T) {
+// TestCancelUncancelledContext: a background context adds no failure
+// mode — results equal plain Mine, and a deadline that never fires
+// behaves the same.
+func TestCancelUncancelledContext(t *testing.T) {
 	db := GenerateQuest(QuestConfig{Transactions: 300, AvgLen: 8, AvgPatternLen: 3,
 		Items: 40, Patterns: 20, Seed: 7})
 	want, err := Mine(db, LCM, 0, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MineContext(context.Background(), db, LCM, 0, 6)
+	got, _, err := WithMetrics(db, LCM, 0, 6, 1, WithContext(context.Background()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if canonListing(got) != canonListing(want) {
-		t.Fatal("MineContext(Background) diverges from Mine")
+		t.Fatal("WithMetrics(Background) diverges from Mine")
 	}
 	ctx, cancelRun := context.WithTimeout(context.Background(), time.Hour)
 	defer cancelRun()
-	got, err = MineContext(ctx, db, Eclat, 0, 6)
+	got, _, err = WithMetrics(db, Eclat, 0, 6, 1, WithContext(ctx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +202,19 @@ func TestMineContextUncancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if canonListing(got) != canonListing(wantE) {
-		t.Fatal("MineContext(with unexpired deadline) diverges from Mine")
+		t.Fatal("WithMetrics(with unexpired deadline) diverges from Mine")
 	}
 }
 
-// TestMineContextDeadline: an already-expired deadline surfaces as a
+// TestCancelExpiredDeadline: an already-expired deadline surfaces as a
 // wrapped context.DeadlineExceeded before any real work happens.
-func TestMineContextDeadline(t *testing.T) {
+func TestCancelExpiredDeadline(t *testing.T) {
 	db := GenerateQuest(QuestConfig{Transactions: 300, AvgLen: 8, AvgPatternLen: 3,
 		Items: 40, Patterns: 20, Seed: 7})
 	ctx, cancelRun := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancelRun()
 	time.Sleep(time.Millisecond)
-	_, err := MineContext(ctx, db, LCM, 0, 6)
+	_, _, err := WithMetrics(db, LCM, 0, 6, 1, WithContext(ctx))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v, want wrapped context.DeadlineExceeded", err)
 	}

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	fpm -in transactions.dat -support 100 [-algo lcm|eclat|fpgrowth|apriori|auto]
+//	fpm -in transactions.dat -support 100 [-algo lcm|eclat|fpgrowth|apriori|hmine|tidset|diffset|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
 //	    [-workers N] [-cutoff W] [-det] [-out results.txt] [-count]
 //	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume] [-chunk-lex]
@@ -28,12 +28,15 @@
 // completed, silently starting fresh on any mismatch. The sidecar is
 // removed when the run completes.
 //
-// With -timeout the run is bounded in wall time: the kernels poll a
-// cancellation flag at every recursion node (lcm, eclat, fpgrowth,
-// hmine), the scheduler drops queued tasks, and partitioned runs stop at
-// the next chunk boundary, exiting with a deadline error. Cancellation is
-// cooperative — the apriori baseline and the tidset/diffset alternatives
-// run to completion.
+// Every in-memory -kind all run mines through one library call
+// (fpm.WithMetrics) whatever its -algo, -algo auto included, so -timeout
+// and -workers apply to every -algo. With -timeout the run is bounded in
+// wall time: the kernels poll a cancellation flag at every recursion node
+// (lcm, eclat, fpgrowth, hmine), the scheduler drops queued tasks, and
+// partitioned runs stop at the next chunk boundary, exiting with a
+// deadline error. Cancellation is cooperative — a sequential apriori run
+// and the tidset/diffset alternatives run to completion, and hmine,
+// tidset and diffset mine sequentially whatever -workers says.
 //
 // With -stats the run's observability counters (nodes expanded, support
 // countings, itemsets emitted, candidate prunes, and — with -workers != 1 —
@@ -131,10 +134,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var popts []fpm.ParallelOption
-	var ctx context.Context
 	if *timeout > 0 {
-		var cancelRun context.CancelFunc
-		ctx, cancelRun = context.WithTimeout(context.Background(), *timeout)
+		ctx, cancelRun := context.WithTimeout(context.Background(), *timeout)
 		defer cancelRun()
 		popts = append(popts, fpm.WithContext(ctx))
 	}
@@ -145,8 +146,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		popts = append(popts, fpm.ParallelDeterministic())
 	}
 
-	// Any observability output (-stats, -trace, -telemetry-addr) routes
-	// the run through the instrumented path with one shared recorder.
+	// Any observability output (-stats, -trace, -telemetry-addr) shares
+	// one recorder between the run and its readers.
 	observed := *stats != "" || *traceOut != "" || *teleAddr != ""
 	var rec *fpm.MetricsRecorder
 	if observed {
@@ -173,10 +174,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer func() { _ = srv.Shutdown(context.Background()) }()
 	}
 
-	var (
-		sets []fpm.Itemset
-		snap fpm.Snapshot
-	)
 	if *part {
 		// Out-of-core: the file is streamed, never loaded whole, so every
 		// path that needs the in-memory database is unavailable.
@@ -205,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			ckptPath = *in + ".fpmck"
 		}
 		rc := fpm.PartitionRunConfig{Checkpoint: ckptPath, Resume: *resume, ChunkLex: *chunkLex}
-		sets, _, err = fpm.MinePartitionedWithConfig(*in, a, ps, *support, memBytes, *workers, rc, popts...)
+		sets, _, err := fpm.MinePartitionedWithConfig(*in, a, ps, *support, memBytes, *workers, rc, popts...)
 		return finish(sets, rec.Snapshot(), traceFile, err, *out, *stats, *count, stdout)
 	}
 
@@ -228,68 +225,33 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	switch {
-	case *kind == "closed" || *kind == "maximal":
+	if *kind == "closed" || *kind == "maximal" {
 		if observed {
 			return fmt.Errorf("-stats/-trace/-telemetry-addr support -kind all only")
 		}
-		if *kind == "closed" {
-			sets, err = fpm.MineClosed(db, *support)
-		} else {
-			sets, err = fpm.MineMaximal(db, *support)
+		mineKind := fpm.MineClosed
+		if *kind == "maximal" {
+			mineKind = fpm.MineMaximal
 		}
-	case observed:
-		a, ps := fpm.Algorithm(*algo), fpm.PatternSet(0)
-		if *algo == "auto" {
-			rec := fpm.Recommend(db, *support)
-			a, ps = rec.Algorithm, rec.Patterns
-			fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
-		} else if a == "lcm" || a == "eclat" || a == "fpgrowth" || a == "apriori" {
-			if ps, err = parsePatterns(*patterns, a); err != nil {
-				return err
-			}
-		}
-		sets, snap, err = fpm.WithMetrics(db, a, ps, *support, *workers, popts...)
-	case *algo == "auto":
-		var rec fpm.Recommendation
-		sets, rec, err = fpm.MineAuto(db, *support)
-		if err == nil {
-			fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
-		}
-	case *algo == "hmine" || *algo == "tidset" || *algo == "diffset":
-		var m fpm.Miner
-		switch *algo {
-		case "hmine":
-			m = fpm.NewHMine()
-		case "tidset":
-			m = fpm.NewTidsetEclat()
-		case "diffset":
-			m = fpm.NewDiffsetEclat()
-		}
-		var sc fpm.SliceCollector
-		if err = m.Mine(db, *support, &sc); err == nil {
-			sets = sc.Sets
-		}
-	default:
-		var ps fpm.PatternSet
-		if ps, err = parsePatterns(*patterns, fpm.Algorithm(*algo)); err != nil {
+		sets, err := mineKind(db, *support)
+		return finish(sets, fpm.Snapshot{}, traceFile, err, *out, *stats, *count, stdout)
+	}
+
+	// Every -kind all run, whatever its -algo, mines through this one call,
+	// so -workers, -timeout, -cutoff and -det reach every kernel that
+	// supports them.
+	a, ps := fpm.Algorithm(*algo), fpm.PatternSet(0)
+	switch a {
+	case "auto":
+		rec := fpm.Recommend(db, *support)
+		a, ps = rec.Algorithm, rec.Patterns
+		fmt.Fprintf(stderr, "fpm: auto-selected %s\n", rec)
+	case fpm.LCM, fpm.Eclat, fpm.FPGrowth, fpm.Apriori:
+		if ps, err = parsePatterns(*patterns, a); err != nil {
 			return err
 		}
-		if *workers != 1 {
-			var m fpm.Miner
-			m, err = fpm.NewParallel(*workers, fpm.Algorithm(*algo), ps, popts...)
-			if err == nil {
-				var sc fpm.SliceCollector
-				if err = m.Mine(db, *support, &sc); err == nil {
-					sets = sc.Sets
-				}
-			}
-		} else if ctx != nil {
-			sets, err = fpm.MineContext(ctx, db, fpm.Algorithm(*algo), ps, *support)
-		} else {
-			sets, err = fpm.Mine(db, fpm.Algorithm(*algo), ps, *support)
-		}
 	}
+	sets, snap, err := fpm.WithMetrics(db, a, ps, *support, *workers, popts...)
 	return finish(sets, snap, traceFile, err, *out, *stats, *count, stdout)
 }
 

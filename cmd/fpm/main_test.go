@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -264,11 +265,14 @@ func heavyCorpusFile(t *testing.T) string {
 }
 
 // TestCLITimeout: -timeout bounds the run's wall time and surfaces the
-// deadline as the run error, for both the in-memory and partitioned paths.
+// deadline as the run error, for both the in-memory and partitioned paths
+// and for every in-memory -algo, the autotuned default included.
 func TestCLITimeout(t *testing.T) {
 	heavy := heavyCorpusFile(t)
 	for _, args := range [][]string{
 		{"-in", heavy, "-support", "2", "-algo", "lcm", "-timeout", "50ms"},
+		{"-in", heavy, "-support", "2", "-algo", "auto", "-timeout", "50ms"},
+		{"-in", heavy, "-support", "2", "-algo", "hmine", "-timeout", "50ms"},
 		{"-in", heavy, "-support", "2", "-algo", "lcm", "-partition", "-mem-budget", "64M", "-timeout", "50ms"},
 	} {
 		var stdout, stderr bytes.Buffer
@@ -279,6 +283,25 @@ func TestCLITimeout(t *testing.T) {
 		if !strings.Contains(err.Error(), "deadline") {
 			t.Fatalf("run(%v) = %v, want deadline error", args, err)
 		}
+	}
+}
+
+// TestCLIAutoWorkersObservedMatchesCount: -algo auto honours -workers on
+// the unobserved path exactly as on the -stats path, so both report the
+// same number of itemsets.
+func TestCLIAutoWorkersObservedMatchesCount(t *testing.T) {
+	small := filepath.Join("testdata", "small.dat")
+	out := runCLI(t, "-in", small, "-support", "2", "-algo", "auto", "-workers", "2", "-stats", "json")
+	var snap fpm.Snapshot
+	if err := json.Unmarshal([]byte(out), &snap); err != nil {
+		t.Fatalf("decode: %v\n%s", err, out)
+	}
+	if snap.Workers != 2 {
+		t.Fatalf("workers = %d, want 2", snap.Workers)
+	}
+	count := strings.TrimSpace(runCLI(t, "-in", small, "-support", "2", "-algo", "auto", "-workers", "2", "-count"))
+	if want := strconv.FormatUint(snap.Emitted, 10); count != want {
+		t.Fatalf("-count printed %s itemsets, -stats json counted %s", count, want)
 	}
 }
 

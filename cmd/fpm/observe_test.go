@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"fpm"
+	"fpm/internal/serve"
 	"fpm/internal/telemetry"
 )
 
@@ -238,9 +239,10 @@ func TestCLITelemetryAddr(t *testing.T) {
 // real mining job on testdata/small.dat runs to completion and its result
 // matches the known count; invalid jobs fail with a recorded error.
 func TestServeJobAPI(t *testing.T) {
-	srv, store := newServeServer()
+	inst := serve.NewInstance(serve.Config{})
+	store := inst.Store
 	defer store.Shutdown()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(inst.Server.Handler())
 	defer ts.Close()
 
 	submit := func(body string) telemetry.Job {
@@ -313,9 +315,10 @@ func TestServeJobAPI(t *testing.T) {
 // cancelled by its deadline mid-mine, and a running job dies promptly on
 // DELETE /jobs/{id} — both through the context plumbing the kernels poll.
 func TestServeJobTimeoutAndCancel(t *testing.T) {
-	srv, store := newServeServer()
+	inst := serve.NewInstance(serve.Config{})
+	store := inst.Store
 	defer store.Shutdown()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(inst.Server.Handler())
 	defer ts.Close()
 
 	// A corpus heavy enough that mining it at support 2 far outlives both

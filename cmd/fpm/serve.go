@@ -146,10 +146,3 @@ func runServe(args []string, stdout, stderr io.Writer) error {
 	// closes the journal, then drains HTTP.
 	return inst.Close(ctx)
 }
-
-// newServeServer wires the job store and the real mining function into a
-// telemetry server; kept for the serve-API tests, which drive the handler
-// without a listener or signals.
-func newServeServer() (*telemetry.Server, *telemetry.Store) {
-	return serve.New(serve.Config{})
-}

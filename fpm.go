@@ -173,32 +173,6 @@ func wrapCancelled(err error, rec *metrics.Recorder) error {
 	return err
 }
 
-// MineContext is Mine with cooperative cancellation: the run stops within a
-// few recursion nodes of ctx being cancelled (or its deadline expiring) and
-// returns a *CancelledError wrapping ctx.Err(). The LCM, Eclat, FP-Growth
-// and H-mine kernels poll the cancellation flag at every recursion node;
-// the Apriori baseline is not internally instrumented and runs to
-// completion. A context that can never be cancelled costs nothing.
-func MineContext(ctx context.Context, db *DB, algo Algorithm, patterns PatternSet, minSupport int) ([]Itemset, error) {
-	cf, stop := cancel.FromContext(ctx)
-	defer stop()
-	m, err := newCancellableMiner(algo, patterns, cf)
-	if err != nil {
-		return nil, err
-	}
-	var sc SliceCollector
-	if err := m.Mine(db, minSupport, &sc); err != nil {
-		return nil, wrapCancelled(err, nil)
-	}
-	return sc.Sets, nil
-}
-
-// newCancellableMiner is NewMiner plus a cancellation flag threaded into
-// the kernels that poll one.
-func newCancellableMiner(algo Algorithm, patterns PatternSet, cf *cancel.Flag) (Miner, error) {
-	return newInstrumentedMiner(algo, patterns, nil, nil, cf)
-}
-
 // MineClosed returns every closed frequent itemset (no proper superset has
 // equal support) via LCM's prefix-preserving closure extension — the
 // problem the LCM kernel is named for.
@@ -271,12 +245,6 @@ func ParallelCutoff(weight int) ParallelOption { return parallel.WithCutoff(weig
 // sort over all results at merge time.
 func ParallelDeterministic() ParallelOption { return parallel.WithDeterministicMerge(true) }
 
-// ParallelFirstLevelOnly disables recursive task spawning, forcing the
-// static first-level decomposition (one task per frequent item) even for
-// kernels that support subtree stealing. Mainly an ablation/benchmark
-// knob.
-func ParallelFirstLevelOnly() ParallelOption { return parallel.WithFirstLevelOnly(true) }
-
 // NewParallel wraps any kernel in task-parallel mining over a
 // work-stealing worker pool. LCM and Eclat split recursively: any
 // recursion subtree whose estimated work clears the cutoff may be stolen
@@ -320,19 +288,9 @@ type (
 	SimRunStats = metrics.SimStats
 )
 
-// NewMetricsRecorder returns an enabled recorder to thread through
-// NewMinerWithMetrics / ParallelMetrics; call Start before mining, Stop
-// after, and Snapshot to freeze the totals.
+// NewMetricsRecorder returns an enabled recorder to thread through a run
+// with ParallelMetrics, so a live scrape can read its counters mid-run.
 func NewMetricsRecorder() *MetricsRecorder { return metrics.NewRecorder() }
-
-// NewMinerWithMetrics is NewMiner with run-time counter recording into rec.
-// The LCM, Eclat and FP-Growth kernels record nodes expanded, support
-// countings, itemsets emitted and candidate prunes; the Apriori baseline is
-// not internally instrumented (wrap its collector, as WithMetrics does, to
-// count emissions). A nil rec behaves exactly like NewMiner.
-func NewMinerWithMetrics(algo Algorithm, patterns PatternSet, rec *MetricsRecorder) (Miner, error) {
-	return newInstrumentedMiner(algo, patterns, rec, nil, nil)
-}
 
 // newInstrumentedMiner constructs a kernel with counter recording, optional
 // kernel-span tracing and optional cooperative cancellation. tr must only
@@ -353,35 +311,17 @@ func newInstrumentedMiner(algo Algorithm, patterns PatternSet, rec *MetricsRecor
 	}
 }
 
-// TraceRecorder records one run's span timeline — scheduler tasks, worker
-// idle gaps, steal markers, kernel first-level subtrees, partition phases
-// and chunks, plus counter series sampled from the run's MetricsRecorder —
-// and serialises it as Chrome trace-event JSON loadable in Perfetto
-// (https://ui.perfetto.dev) or chrome://tracing. A nil *TraceRecorder is
-// the disabled recorder everywhere it is threaded.
-type TraceRecorder = trace.Recorder
-
-// NewTraceRecorder returns an enabled trace recorder whose Flush writes
-// the trace-event JSON to w. Thread it through a run with ParallelTrace
-// (or use WithTrace for the common one-shot case).
-func NewTraceRecorder(w io.Writer) *TraceRecorder {
-	return trace.NewRecorder(trace.WithOutput(w))
-}
-
 // WithTrace enables execution tracing for one observed mining run
-// (WithMetrics or MinePartitioned): span timelines for every scheduler
-// worker and partition phase are recorded and written to w as Chrome
-// trace-event JSON when the run ends. A failing writer never interrupts
+// (WithMetrics or MinePartitioned): span timelines — scheduler tasks,
+// worker idle gaps, steal markers, kernel first-level subtrees, partition
+// phases and chunks, plus counter series sampled from the run's recorder —
+// are written to w as Chrome trace-event JSON (loadable in Perfetto or
+// chrome://tracing) when the run ends. A failing writer never interrupts
 // mining — the run completes and the write error is returned once,
 // alongside the full results.
 func WithTrace(w io.Writer) ParallelOption {
 	return parallel.WithTrace(trace.NewRecorder(trace.WithOutput(w)))
 }
-
-// ParallelTrace routes span timelines into an existing trace recorder,
-// for callers that manage the recorder lifecycle themselves (call Start
-// before mining, Stop after, and Flush/WriteJSON to serialise).
-func ParallelTrace(tr *TraceRecorder) ParallelOption { return parallel.WithTrace(tr) }
 
 // WithContext makes one observed run (WithMetrics, MinePartitioned or
 // MinePartitionedWithConfig) cancellable: when ctx is cancelled or its
@@ -391,9 +331,6 @@ func ParallelTrace(tr *TraceRecorder) ParallelOption { return parallel.WithTrace
 // with the partial-progress Snapshot attached. A context that can never be
 // cancelled (context.Background()) adds no cost.
 func WithContext(ctx context.Context) ParallelOption { return parallel.WithContext(ctx) }
-
-// NewHMineRecording is NewHMine with counter recording into rec.
-func NewHMineRecording(rec *MetricsRecorder) Miner { return hmine.NewRecording(rec) }
 
 // ParallelMetrics routes the work-stealing scheduler's counters (tasks
 // spawned/offered/stolen, steal failures, shard-merge time, per-worker
@@ -443,9 +380,10 @@ func (cm *countingMiner) Mine(db *DB, minSupport int, c Collector) error {
 //
 // ParallelMetrics routes the run into an existing recorder (so a live
 // telemetry server can scrape the counters mid-run); without it a private
-// recorder is used. WithTrace / ParallelTrace additionally record the
-// run's span timeline; a failing trace sink never interrupts mining — the
-// results and Snapshot are returned together with the single flush error.
+// recorder is used. WithTrace additionally records the run's span
+// timeline; a failing trace sink never interrupts mining — the results and
+// Snapshot are returned together with the single flush error. WithContext
+// makes the run cancellable.
 func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, workers int, opts ...ParallelOption) ([]Itemset, Snapshot, error) {
 	var po parallel.Options
 	for _, fn := range opts {
@@ -558,11 +496,10 @@ type PartitionSnapshot = metrics.PartitionStats
 // rather than by the file size. The file must be seekable. Options are
 // the NewParallel options; ParallelMetrics additionally routes the
 // partition and scheduler counters into the given recorder (the returned
-// PartitionSnapshot is recorded either way), and WithTrace / ParallelTrace
-// record the run's span timeline — the partition phase track plus, when
-// workers != 1, the per-worker scheduler tracks. A failing trace sink
-// never interrupts mining: the results are returned together with the
-// single flush error.
+// PartitionSnapshot is recorded either way), and WithTrace records the
+// run's span timeline — the partition phase track plus, when workers != 1,
+// the per-worker scheduler tracks. A failing trace sink never interrupts
+// mining: the results are returned together with the single flush error.
 func MinePartitioned(path string, algo Algorithm, patterns PatternSet, minSupport int, memBudget int64, workers int, opts ...ParallelOption) ([]Itemset, PartitionSnapshot, error) {
 	return MinePartitionedWithConfig(path, algo, patterns, minSupport, memBudget, workers, PartitionRunConfig{}, opts...)
 }

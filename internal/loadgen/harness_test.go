@@ -13,10 +13,10 @@ import (
 // startServer self-hosts the production serve wiring for harness tests.
 func startServer(t *testing.T, queueCap int) *Client {
 	t.Helper()
-	srv, store := serve.New(serve.Config{QueueCap: queueCap})
-	ts := httptest.NewServer(srv.Handler())
+	inst := serve.NewInstance(serve.Config{QueueCap: queueCap})
+	ts := httptest.NewServer(inst.Server.Handler())
 	t.Cleanup(func() {
-		store.Shutdown()
+		inst.Store.Shutdown()
 		ts.Close()
 	})
 	return NewClient(ts.URL)

@@ -44,7 +44,7 @@ func TestFootprintLearnerConvergence(t *testing.T) {
 		return telemetry.MineResult{Itemsets: 1}, nil
 	}
 	learner := NewFootprintLearner()
-	st := telemetry.NewStoreWithConfig(mine, nil, telemetry.StoreConfig{
+	st := telemetry.NewStore(mine, nil, telemetry.StoreConfig{
 		QueueCap: 8, MaxConcurrent: 1, MemBudget: 1 << 30,
 		Footprint:        learner.footprint,
 		ObserveFootprint: learner.observe,

@@ -143,15 +143,6 @@ func (inst *Instance) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// New builds a telemetry server with an attached job store running the
-// real miner. The caller owns shutdown ordering: Store.Shutdown (or
-// Close) first, then Server.Shutdown. Kept for callers that do not need
-// the cache handle; NewInstance returns the full stack.
-func New(cfg Config) (*telemetry.Server, *telemetry.Store) {
-	inst := NewInstance(cfg)
-	return inst.Server, inst.Store
-}
-
 // NewInstance builds the full serving stack described by cfg.
 func NewInstance(cfg Config) *Instance {
 	if cfg.QueueCap <= 0 {
@@ -239,7 +230,7 @@ func NewInstance(cfg Config) *Instance {
 		enc := json.NewEncoder(cfg.EventLog)
 		sink = func(ev telemetry.Event) { _ = enc.Encode(ev) }
 	}
-	store := telemetry.NewStoreWithConfig(inst.mineJob, srv.SetRecorder, telemetry.StoreConfig{
+	store := telemetry.NewStore(inst.mineJob, srv.SetRecorder, telemetry.StoreConfig{
 		QueueCap:         cfg.QueueCap,
 		MaxConcurrent:    cfg.MaxConcurrent,
 		MemBudget:        cfg.MemBudget,
@@ -366,22 +357,18 @@ func EstimateFootprint(req telemetry.JobRequest) int64 {
 	return est
 }
 
-// mineJob is the store's MineFunc: MineJob plus the serving caches (and,
-// on durable instances, origin hashes on the listings it inserts).
+// mineJob is the store's MineFunc (on durable instances it also stamps
+// origin hashes on the listings it inserts).
 func (inst *Instance) mineJob(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder) (telemetry.MineResult, error) {
 	return mineWithCaches(ctx, req, rec, inst.Caches, inst.Persister != nil)
 }
 
-// MineJob executes one submitted job through the library's observed
-// mining paths, so the job's counters stream into rec while it runs. ctx
-// threads the job's cancellation and deadline into the run: both the
-// in-memory and partitioned paths unwind cooperatively when it trips.
-// This entry point is cache-free; the store built by New/NewInstance
-// runs jobs through the serving caches.
-func MineJob(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder) (telemetry.MineResult, error) {
-	return mineWithCaches(ctx, req, rec, nil, false)
-}
-
+// mineWithCaches executes one submitted job: answer it from the result
+// cache if possible, otherwise resolve the input (streamed for
+// partitioned jobs, the shared parse from the dataset cache, or a one-off
+// parse), mine it through the library's observed path — so the job's
+// counters stream into rec and ctx cancels it cooperatively — and offer
+// the listing to the result cache. caches may be nil.
 func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.MetricsRecorder, caches *servecache.Caches, durable bool) (telemetry.MineResult, error) {
 	if req.MinSupport < 1 {
 		return telemetry.MineResult{}, fmt.Errorf("job: min_support must be >= 1 (got %d)", req.MinSupport)
@@ -407,47 +394,47 @@ func mineWithCaches(ctx context.Context, req telemetry.JobRequest, rec *fpm.Metr
 		if id, err := servecache.FileIdentity(req.Path); err == nil {
 			key = servecache.ResultKey{ID: id, Algo: req.Algo, Patterns: strconv.FormatUint(uint64(ps), 10)}
 			haveKey = true
-			if sets, outcome, ok := caches.Results.ServeTraced(key, req.MinSupport); ok {
+			if sets, outcome, ok := caches.Results.Serve(key, req.MinSupport); ok {
 				telemetry.Emit(ctx, telemetry.Event{Type: "result_cache", Outcome: outcome})
 				return telemetry.MineResult{Itemsets: len(sets), FromCache: true}, nil
 			}
 		}
 	}
 
-	opts := []fpm.ParallelOption{fpm.ParallelMetrics(rec), fpm.WithContext(ctx)}
-	var sets []fpm.Itemset
-	var err error
-	if req.MemBudget > 0 {
-		// Out-of-core jobs stream from disk by design — caching the parsed
-		// DB would defeat the memory bound — but their listings still land
-		// in the result cache below.
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
-		sets, _, err = fpm.MinePartitioned(req.Path, a, ps, req.MinSupport, req.MemBudget, req.Workers, opts...)
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
-	} else if caches != nil && caches.Datasets != nil {
-		var entry *servecache.Dataset
-		var outcome string
-		entry, outcome, err = caches.Datasets.AcquireTraced(req.Path)
+	// Resolve the input. Out-of-core jobs stream from disk by design —
+	// caching the parsed DB would defeat the memory bound — but their
+	// listings still land in the result cache below. A cached DB is shared
+	// read-only across concurrent jobs; the reference pins it against
+	// eviction until the mine returns.
+	var db *fpm.DB
+	release := func() {}
+	switch {
+	case req.MemBudget > 0: // the partitioned mine streams req.Path itself
+	case caches != nil && caches.Datasets != nil:
+		entry, outcome, err := caches.Datasets.Acquire(req.Path)
 		if err != nil {
 			return telemetry.MineResult{}, err
 		}
 		telemetry.Emit(ctx, telemetry.Event{Type: "dataset_cache", Outcome: outcome})
-		// The cached DB is shared read-only across concurrent jobs; the
-		// reference pins it against eviction until the mine returns.
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
-		sets, _, err = fpm.WithMetrics(entry.DB, a, ps, req.MinSupport, req.Workers, opts...)
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
-		caches.Datasets.Release(entry)
-	} else {
-		var db *fpm.DB
-		db, err = fpm.ReadFIMIFile(req.Path)
-		if err != nil {
+		db, release = entry.DB, func() { caches.Datasets.Release(entry) }
+	default:
+		var err error
+		if db, err = fpm.ReadFIMIFile(req.Path); err != nil {
 			return telemetry.MineResult{}, err
 		}
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
-		sets, _, err = fpm.WithMetrics(db, a, ps, req.MinSupport, req.Workers, opts...)
-		telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
 	}
+
+	opts := []fpm.ParallelOption{fpm.ParallelMetrics(rec), fpm.WithContext(ctx)}
+	var sets []fpm.Itemset
+	var err error
+	telemetry.Emit(ctx, telemetry.Event{Type: "mine_start"})
+	if req.MemBudget > 0 {
+		sets, _, err = fpm.MinePartitioned(req.Path, a, ps, req.MinSupport, req.MemBudget, req.Workers, opts...)
+	} else {
+		sets, _, err = fpm.WithMetrics(db, a, ps, req.MinSupport, req.Workers, opts...)
+	}
+	telemetry.Emit(ctx, telemetry.Event{Type: "mine_end", Itemsets: len(sets)})
+	release()
 	if err != nil {
 		return telemetry.MineResult{Itemsets: len(sets)}, err
 	}

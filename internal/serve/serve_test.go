@@ -218,7 +218,8 @@ func TestServeDrainMidStorm(t *testing.T) {
 	path := testDataset(t, 8000, 2)
 	before := runtime.NumGoroutine()
 
-	srv, store := New(Config{QueueCap: 16})
+	inst := NewInstance(Config{QueueCap: 16})
+	srv, store := inst.Server, inst.Store
 	ts := httptest.NewServer(srv.Handler())
 
 	// Flood with slow jobs, cancelling some, until the drain signal.
@@ -305,7 +306,7 @@ func TestParsePatterns(t *testing.T) {
 // TestMineJobValidation: a bad min_support fails fast without touching
 // the filesystem.
 func TestMineJobValidation(t *testing.T) {
-	if _, err := MineJob(context.Background(), telemetry.JobRequest{Path: "nope", Algo: "lcm"}, fpm.NewMetricsRecorder()); err == nil {
+	if _, err := mineWithCaches(context.Background(), telemetry.JobRequest{Path: "nope", Algo: "lcm"}, fpm.NewMetricsRecorder(), nil, false); err == nil {
 		t.Fatal("min_support 0 must be rejected")
 	}
 }
@@ -402,6 +403,72 @@ func TestServeResultCacheEndToEnd(t *testing.T) {
 	}
 	if got := inst.Store.Stats().CacheServed; got != 2 {
 		t.Fatalf("store counted %d cache-served jobs, want 2", got)
+	}
+}
+
+// TestServeEventOrder pins the ordered flight-recorder events of one job
+// for each way the serve path can source its answer. The timeline is a
+// contract: the load harness splits job time into phases on exactly these
+// boundaries (running→dataset_cache is the acquire, mine_start→mine_end
+// the kernel, mine_end→result_cache store the insert). Events render as
+// type, or type:outcome when the event carries one.
+func TestServeEventOrder(t *testing.T) {
+	path := testDataset(t, 300, 16)
+	mined := func(source ...string) []string {
+		out := append([]string{"submitted", "running"}, source...)
+		return append(out, "mine_start", "mine_end", "result_cache:store", "terminal")
+	}
+	req := func(minsup int, memBudget int64) telemetry.JobRequest {
+		return telemetry.JobRequest{Path: path, Algo: "lcm", MinSupport: minsup, Workers: 1, MemBudget: memBudget}
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		// jobs run one after another; the last one's timeline is checked.
+		jobs []telemetry.JobRequest
+		want []string
+	}{
+		{"dataset-cache-miss", Config{}, []telemetry.JobRequest{req(5, 0)},
+			mined("dataset_cache:miss")},
+		// The first job caches a listing at a higher threshold, which
+		// cannot answer the second: its mine reuses the resident parse.
+		{"dataset-cache-hit", Config{}, []telemetry.JobRequest{req(9, 0), req(5, 0)},
+			mined("dataset_cache:hit")},
+		{"dataset-cache-disabled", Config{DisableDatasetCache: true}, []telemetry.JobRequest{req(5, 0)},
+			mined()},
+		{"partitioned", Config{}, []telemetry.JobRequest{req(5, 1<<20)},
+			mined()},
+		{"result-cache-hit", Config{}, []telemetry.JobRequest{req(5, 0), req(5, 0)},
+			[]string{"submitted", "running", "result_cache:hit", "terminal"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.MaxConcurrent = 1
+			inst := NewInstance(tc.cfg)
+			defer inst.Store.Close()
+			var last telemetry.Job
+			for _, r := range tc.jobs {
+				job, err := inst.Store.Submit(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if last = waitTerminal(t, inst.Store, job.ID); last.State != "done" {
+					t.Fatalf("job %d ended %s: %s", job.ID, last.State, last.Error)
+				}
+			}
+			log, _ := inst.Store.Events(last.ID)
+			var got []string
+			for _, ev := range log.Events {
+				name := ev.Type
+				if ev.Outcome != "" {
+					name += ":" + ev.Outcome
+				}
+				got = append(got, name)
+			}
+			if strings.Join(got, " ") != strings.Join(tc.want, " ") {
+				t.Fatalf("events = %v\nwant     %v", got, tc.want)
+			}
+		})
 	}
 }
 

@@ -61,7 +61,7 @@ func TestPersisterWritesAndDebounces(t *testing.T) {
 	if _, err := c2.RestoreSnapshot(snap.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c2.Serve(key, 4); !ok {
+	if _, _, ok := c2.Serve(key, 4); !ok {
 		t.Fatal("snapshot round trip through the persister lost the entry")
 	}
 }
@@ -234,7 +234,7 @@ func TestSnapshotShedOrderingUnderConcurrency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := c.Serve(ResultKey{ID: id, Algo: e.Algo, Patterns: e.Patterns}, e.MinSupport); !ok {
+		if _, _, ok := c.Serve(ResultKey{ID: id, Algo: e.Algo, Patterns: e.Patterns}, e.MinSupport); !ok {
 			t.Fatalf("snapshot holds %q which the live cache no longer serves", e.Path)
 		}
 	}

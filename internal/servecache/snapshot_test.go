@@ -85,15 +85,15 @@ func TestSnapshotRoundTripAndRestore(t *testing.T) {
 	if st.Restored != 2 || st.DroppedStale != 0 || st.DroppedUnreadable != 0 {
 		t.Fatalf("restore stats = %+v", st)
 	}
-	got, ok := c2.Serve(ka, 4)
+	got, _, ok := c2.Serve(ka, 4)
 	if !ok || len(got) != 2 {
 		t.Fatalf("restored cache misses key A: %v %v", got, ok)
 	}
-	if _, ok := c2.Serve(kb, 3); !ok {
+	if _, _, ok := c2.Serve(kb, 3); !ok {
 		t.Fatal("restored cache misses key B")
 	}
 	// Subsumption must survive the round trip too.
-	if got, ok := c2.Serve(ka, 6); !ok || len(got) != 1 {
+	if got, _, ok := c2.Serve(ka, 6); !ok || len(got) != 1 {
 		t.Fatalf("restored listing lost subsumption: %v %v", got, ok)
 	}
 }
@@ -110,7 +110,7 @@ func TestSnapshotPreservesWarmthOrder(t *testing.T) {
 	ka := durableInsert(t, c, pa, "lcm", 4, sets1())
 	kb := durableInsert(t, c, pb, "lcm", 4, sets2())
 	// Touch A: B becomes the coldest.
-	if _, ok := c.Serve(ka, 4); !ok {
+	if _, _, ok := c.Serve(ka, 4); !ok {
 		t.Fatal("setup serve failed")
 	}
 
@@ -120,10 +120,10 @@ func TestSnapshotPreservesWarmthOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2.Shed(1) // evicts exactly the coldest entry
-	if _, ok := c2.Serve(kb, 4); ok {
+	if _, _, ok := c2.Serve(kb, 4); ok {
 		t.Fatal("B survived the shed; restore lost the warmth order")
 	}
-	if _, ok := c2.Serve(ka, 4); !ok {
+	if _, _, ok := c2.Serve(ka, 4); !ok {
 		t.Fatal("A (the warm entry) was shed first")
 	}
 }
@@ -178,7 +178,7 @@ func TestSnapshotRestoreDropsIdentityCollision(t *testing.T) {
 	if st.Restored != 0 || st.DroppedStale != 1 {
 		t.Fatalf("restore stats = %+v, want the colliding entry dropped stale", st)
 	}
-	if _, ok := c2.Serve(key, 4); ok {
+	if _, _, ok := c2.Serve(key, 4); ok {
 		t.Fatal("stale listing resurrected through the identity collision window")
 	}
 }
@@ -218,7 +218,7 @@ func TestSnapshotRestoreRekeysMtimeDrift(t *testing.T) {
 	}
 	newKey := oldKey
 	newKey.ID = newID
-	if _, ok := c2.Serve(newKey, 4); !ok {
+	if _, _, ok := c2.Serve(newKey, 4); !ok {
 		t.Fatal("restored entry not reachable under the live identity")
 	}
 }
@@ -242,7 +242,7 @@ func TestSnapshotRestoreDropsUnreadable(t *testing.T) {
 	if st.Restored != 0 || st.DroppedUnreadable != 1 {
 		t.Fatalf("restore stats = %+v, want the entry dropped unreadable", st)
 	}
-	if _, ok := c2.Serve(key, 4); ok {
+	if _, _, ok := c2.Serve(key, 4); ok {
 		t.Fatal("listing for a deleted file restored")
 	}
 }

@@ -100,7 +100,7 @@ func TestSubsumptionPropertyAllKernels(t *testing.T) {
 				cache.Insert(key, tc.s1, low)
 
 				// The higher-threshold query must be served by subsumption...
-				got, ok := cache.Serve(key, tc.s2)
+				got, _, ok := cache.Serve(key, tc.s2)
 				if !ok {
 					t.Fatalf("%s: cache missed a subsumed query (cached s1=%d, query s2=%d)", algo, tc.s1, tc.s2)
 				}
@@ -115,7 +115,7 @@ func TestSubsumptionPropertyAllKernels(t *testing.T) {
 						algo, tc.s2, len(got), len(direct))
 				}
 				// The exact-threshold round trip must be lossless too.
-				exact, ok := cache.Serve(key, tc.s1)
+				exact, _, ok := cache.Serve(key, tc.s1)
 				if !ok {
 					t.Fatalf("%s: cache missed the exact threshold it was filled at", algo)
 				}

@@ -30,7 +30,7 @@ func TestFlightRecorderTimeline(t *testing.T) {
 		Emit(ctx, Event{Type: "mine_end", Itemsets: 3})
 		return MineResult{Itemsets: 3}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
+	st := NewStore(mine, nil, StoreConfig{
 		QueueCap: 4, MaxConcurrent: 1,
 		EventSink: func(ev Event) { sunk = append(sunk, ev.Type) },
 	})
@@ -86,7 +86,7 @@ func TestFlightRecorderQueueCancelled(t *testing.T) {
 		<-release
 		return MineResult{}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{QueueCap: 8, MaxConcurrent: 1})
+	st := NewStore(mine, nil, StoreConfig{QueueCap: 8, MaxConcurrent: 1})
 	blocker, _ := st.Submit(JobRequest{})
 	waitState(t, st.Get, blocker.ID, "running")
 	victim, _ := st.Submit(JobRequest{})
@@ -118,7 +118,7 @@ func TestFlightRecorderRingBound(t *testing.T) {
 		}
 		return MineResult{}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{QueueCap: 4, MaxConcurrent: 1, EventCap: 8})
+	st := NewStore(mine, nil, StoreConfig{QueueCap: 4, MaxConcurrent: 1, EventCap: 8})
 	defer st.Close()
 	job, _ := st.Submit(JobRequest{})
 	waitState(t, st.Get, job.ID, "done")
@@ -148,7 +148,7 @@ func TestEventsEndpoint(t *testing.T) {
 		Emit(ctx, Event{Type: "mine_start"})
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStore(mine, nil)
+	st := NewStore(mine, nil, StoreConfig{})
 	defer st.Close()
 	srv := NewServer()
 	srv.AttachJobs(st)
@@ -211,7 +211,7 @@ func TestStoreMeasuresPeakFootprint(t *testing.T) {
 		runtime.KeepAlive(buf)
 		return MineResult{Itemsets: int(buf[123])}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
+	st := NewStore(mine, nil, StoreConfig{
 		QueueCap: 4, MaxConcurrent: 1, MemBudget: 1 << 30,
 		Footprint: func(JobRequest) (int64, bool) { return 16 << 20, false },
 	})
@@ -246,7 +246,7 @@ func TestJobHistogramsRendered(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStore(mine, nil)
+	st := NewStore(mine, nil, StoreConfig{})
 	const jobs = 5
 	for i := 0; i < jobs; i++ {
 		job, err := st.Submit(JobRequest{MinSupport: 1})
@@ -367,7 +367,7 @@ func TestMetricsEndpointHasJobHistograms(t *testing.T) {
 	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStore(mine, nil)
+	st := NewStore(mine, nil, StoreConfig{})
 	defer st.Close()
 	srv := NewServer()
 	srv.AttachJobs(st)

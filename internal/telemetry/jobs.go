@@ -238,7 +238,7 @@ type StoreStats struct {
 	Requeued  uint64 `json:"requeued"`
 }
 
-// DefaultQueueCap bounds the pending-job queue when NewStore is used.
+// DefaultQueueCap bounds the pending-job queue when StoreConfig.QueueCap is 0.
 const DefaultQueueCap = 64
 
 // StoreConfig shapes a job store.
@@ -307,21 +307,9 @@ const (
 	DefaultRetryMaxDelay  = time.Second
 )
 
-// NewStore starts a single-runner store with the default queue cap.
-// onStart may be nil.
-func NewStore(mine MineFunc, onStart func(*metrics.Recorder)) *Store {
-	return NewStoreWithConfig(mine, onStart, StoreConfig{})
-}
-
-// NewStoreWithCap starts a single-runner store with room for queueCap
-// pending jobs (minimum 1); submissions beyond the cap are rejected with
-// ErrQueueFull so callers see backpressure instead of unbounded growth.
-func NewStoreWithCap(mine MineFunc, onStart func(*metrics.Recorder), queueCap int) *Store {
-	return NewStoreWithConfig(mine, onStart, StoreConfig{QueueCap: queueCap})
-}
-
-// NewStoreWithConfig starts the runner pool described by cfg.
-func NewStoreWithConfig(mine MineFunc, onStart func(*metrics.Recorder), cfg StoreConfig) *Store {
+// NewStore starts the runner pool described by cfg; the zero StoreConfig
+// is a single runner with the default queue cap. onStart may be nil.
+func NewStore(mine MineFunc, onStart func(*metrics.Recorder), cfg StoreConfig) *Store {
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = DefaultQueueCap
 	}

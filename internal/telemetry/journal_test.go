@@ -150,7 +150,7 @@ func TestShutdownDrainRequeueVsCancel(t *testing.T) {
 				}
 			}
 			started := make(chan int, 1)
-			st := NewStoreWithConfig(ctxMiner(started), nil, StoreConfig{Journal: jnl})
+			st := NewStore(ctxMiner(started), nil, StoreConfig{Journal: jnl})
 			running, err := st.Submit(JobRequest{Path: "x.dat", Algo: "lcm", MinSupport: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -207,7 +207,7 @@ func TestShutdownDrainRequeueVsCancel(t *testing.T) {
 func TestSubmitRecoveredProvenance(t *testing.T) {
 	st := NewStore(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
 		return MineResult{Itemsets: 1}, nil
-	}, nil)
+	}, nil, StoreConfig{})
 	defer st.Close()
 	job, err := st.SubmitRecovered(JobRequest{Path: "x.dat", Algo: "lcm", MinSupport: 2})
 	if err != nil {
@@ -232,7 +232,7 @@ func TestSubmitRecoveredProvenance(t *testing.T) {
 // retryStore builds a single-runner store with a tight backoff so retry
 // tests run in milliseconds.
 func retryStore(mine MineFunc, maxRetries int) *Store {
-	return NewStoreWithConfig(mine, nil, StoreConfig{
+	return NewStore(mine, nil, StoreConfig{
 		MaxRetries:     maxRetries,
 		RetryBaseDelay: time.Millisecond,
 		RetryMaxDelay:  2 * time.Millisecond,
@@ -336,7 +336,7 @@ func TestRetryNotOnCancelOrDeadline(t *testing.T) {
 // retryDelay must grow exponentially from the base, stay within the cap,
 // and jitter inside the upper half of the window.
 func TestRetryDelayShape(t *testing.T) {
-	st := NewStoreWithConfig(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
+	st := NewStore(func(ctx context.Context, req JobRequest, rec *metrics.Recorder) (MineResult, error) {
 		return MineResult{}, nil
 	}, nil, StoreConfig{RetryBaseDelay: 100 * time.Millisecond, RetryMaxDelay: time.Second})
 	defer st.Close()

@@ -20,7 +20,7 @@ func BenchmarkStoreOverhead(b *testing.B) {
 	mine := func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{QueueCap: 4, MaxConcurrent: 1})
+	st := NewStore(mine, nil, StoreConfig{QueueCap: 4, MaxConcurrent: 1})
 	defer st.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -76,7 +76,7 @@ func TestSchedulerSaturatesPool(t *testing.T) {
 		<-release
 		return MineResult{}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{QueueCap: 64, MaxConcurrent: 4})
+	st := NewStore(mine, nil, StoreConfig{QueueCap: 64, MaxConcurrent: 4})
 	for i := 0; i < 12; i++ {
 		if _, err := st.Submit(JobRequest{MinSupport: i}); err != nil {
 			t.Fatal(err)
@@ -111,7 +111,7 @@ func TestSchedulerAdmissionSerializesUnderBudget(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return MineResult{}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
+	st := NewStore(mine, nil, StoreConfig{
 		QueueCap:      64,
 		MaxConcurrent: 4,
 		MemBudget:     100,
@@ -150,7 +150,7 @@ func TestSchedulerAdmissionSerializesUnderBudget(t *testing.T) {
 // successful shed must be retried before waiting.
 func TestSchedulerOversizedJobForceAdmitted(t *testing.T) {
 	cached := int64(500) // pretend half a KiB of cached state
-	st := NewStoreWithConfig(
+	st := NewStore(
 		func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
 			return MineResult{Itemsets: 1}, nil
 		},
@@ -204,7 +204,7 @@ func TestSchedulerOversizedJobsNeverOverlap(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 		return MineResult{}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
+	st := NewStore(mine, nil, StoreConfig{
 		QueueCap:      64,
 		MaxConcurrent: 4,
 		MemBudget:     100,
@@ -236,7 +236,7 @@ func TestSchedulerShedWindowCancelStorm(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		return MineResult{Itemsets: 1}, nil
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
+	st := NewStore(mine, nil, StoreConfig{
 		QueueCap:      256,
 		MaxConcurrent: 4,
 		MemBudget:     100,
@@ -307,7 +307,7 @@ func TestSchedulerShutdownStorm(t *testing.T) {
 			}
 		}
 	}
-	st := NewStoreWithConfig(mine, nil, StoreConfig{
+	st := NewStore(mine, nil, StoreConfig{
 		QueueCap:      256,
 		MaxConcurrent: 4,
 		MemBudget:     1 << 20,
@@ -374,7 +374,7 @@ func TestSchedulerShutdownStorm(t *testing.T) {
 // whole pool before returning.
 func TestSchedulerCloseDrainsPool(t *testing.T) {
 	var done atomic.Int64
-	st := NewStoreWithConfig(
+	st := NewStore(
 		func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
 			time.Sleep(time.Millisecond)
 			done.Add(1)

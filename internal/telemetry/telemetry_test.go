@@ -156,7 +156,7 @@ func TestServerJobLifecycle(t *testing.T) {
 		return MineResult{Itemsets: 9}, nil
 	}
 	srv := NewServer()
-	store := NewStore(mine, srv.SetRecorder)
+	store := NewStore(mine, srv.SetRecorder, StoreConfig{})
 	srv.AttachJobs(store)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -285,7 +285,7 @@ func TestJobsBackpressureHTTP(t *testing.T) {
 		return MineResult{Itemsets: 1}, nil
 	}
 	srv := NewServer()
-	store := NewStoreWithCap(mine, srv.SetRecorder, 1)
+	store := NewStore(mine, srv.SetRecorder, StoreConfig{QueueCap: 1})
 	srv.AttachJobs(store)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -393,10 +393,10 @@ func TestServerScrapesWithoutRecorder(t *testing.T) {
 
 func TestStoreQueueFull(t *testing.T) {
 	block := make(chan struct{})
-	st := NewStoreWithCap(func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
+	st := NewStore(func(context.Context, JobRequest, *metrics.Recorder) (MineResult, error) {
 		<-block
 		return MineResult{}, nil
-	}, nil, 4)
+	}, nil, StoreConfig{QueueCap: 4})
 	// One job occupies the runner (it drains from the queue as soon as the
 	// runner picks it up), so keep submitting until the 4-slot queue
 	// itself is full; rejections must not grow the job list.

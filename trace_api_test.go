@@ -1,11 +1,11 @@
 package fpm
 
-// Tests for the public tracing surface: fpm.WithTrace / fpm.ParallelTrace
-// must produce a loadable Chrome trace-event file with one track per
-// scheduler worker and the partition-phase track, without changing the
-// mined results; a failing trace sink must never lose the mining results;
-// and a concurrent scrape of the run's MetricsRecorder must observe
-// monotonically non-decreasing counters (run under -race in CI).
+// Tests for the public tracing surface: fpm.WithTrace must produce a
+// loadable Chrome trace-event file with one track per scheduler worker
+// and the partition-phase track, without changing the mined results; a
+// failing trace sink must never lose the mining results; and a concurrent
+// scrape of the run's MetricsRecorder must observe monotonically
+// non-decreasing counters (run under -race in CI).
 
 import (
 	"bytes"
