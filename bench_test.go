@@ -142,6 +142,72 @@ func BenchmarkFigure8FPGrowthNative(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// Kernel rows — the three tuned kernels, sequential at their Applicable
+// pattern sets, on the in-memory mining presets (the quest, docs and ap
+// corpora at half the benchSetup sizes). Each row reports ns/op, B/op,
+// allocs/op and the itemsets it mined, so allocation work in the
+// recursions shows next to wall time. CI runs it at -benchtime 1x.
+// ---------------------------------------------------------------------
+
+type kernelCorpus struct {
+	name    string
+	db      *DB
+	support int
+}
+
+var (
+	kernelOnce    sync.Once
+	kernelCorpora []kernelCorpus
+)
+
+func kernelSetup() {
+	kernelOnce.Do(func() {
+		kernelCorpora = []kernelCorpus{
+			{"quest", GenerateQuest(QuestConfig{
+				Transactions: 2000, AvgLen: 20, AvgPatternLen: 6,
+				Items: 400, Patterns: 80, Seed: 11,
+			}), 40},
+			{"docs", GenerateCorpus(CorpusConfig{
+				Docs: 1500, Vocab: 3000, AvgLen: 30, ZipfS: 1.25,
+				Topics: 12, TopicShare: 0.6, TopicPool: 60, Seed: 12,
+			}), 200},
+			{"ap", GenerateCorpus(CorpusConfig{
+				Docs: 4000, Vocab: 10000, AvgLen: 10, ZipfS: 1.1,
+				Shuffle: true, Seed: 13,
+			}), 10},
+		}
+	})
+}
+
+func BenchmarkKernelsInmem(b *testing.B) {
+	kernelSetup()
+	for _, c := range kernelCorpora {
+		for _, algo := range []Algorithm{LCM, Eclat, FPGrowth} {
+			c, algo := c, algo
+			b.Run(c.name+"/"+string(algo), func(b *testing.B) {
+				m, err := NewMiner(algo, Applicable(algo))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var cc CountCollector
+				for i := 0; i < b.N; i++ {
+					cc = CountCollector{}
+					if err := m.Mine(c.db, c.support, &cc); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if cc.N == 0 {
+					b.Fatal("degenerate workload")
+				}
+				b.ReportMetric(float64(cc.N), "itemsets")
+			})
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
 // Figure 2 (simulated) — per-function CPI on the modelled M1. Reported as
 // bench metrics: cycles/op is the simulated cycle count, CPI the
 // cycles-per-instruction of the hot function.

@@ -105,8 +105,9 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 // databases and dataset.ProjectedWeight approximates for the first-level
 // driver, so one shared spawn cutoff gates comparable work across kernels
 // (modulo LCM's RmDupTrans, which shrinks its count by merging duplicate
-// transactions). A stolen class carries only freshly ANDed vectors and a
-// prefix copy, so it shares no mutable state with the spawning recursion.
+// transactions). A stolen class carries only vectors its members own, a
+// prefix copy and a run snapshot taken before Offer, so it shares no
+// mutable state with the spawning recursion.
 func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -259,9 +260,10 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 	return m.opts.Cancel.Err()
 }
 
-// run carries the read-only mining context; it is shared by value across
-// stolen tasks (only sp differs per worker), so recursion state lives in
-// the arguments of mine.
+// run carries the mining context of one goroutine's recursion. A stolen
+// class gets a copy taken on the spawning goroutine before Offer (see
+// descend), with its own sp, counter block and scratch, so recursion state
+// lives in the arguments of mine.
 type run struct {
 	n          int
 	minSupport int
@@ -274,6 +276,10 @@ type run struct {
 	rec        *metrics.Recorder
 	met        *metrics.Local // owned by this run's goroutine; stolen tasks get their own
 	tk         *trace.Track   // set on sequential runs only; stolen tasks never trace
+	// scratch receives each candidate's AND. A survivor takes the vector
+	// as its own and scratch is reallocated on the next candidate, so
+	// failing candidates (most of them) allocate nothing.
+	scratch *bitvec.Vector
 }
 
 // wrap applies the branch extension to a raw collector. Each call builds a
@@ -320,21 +326,26 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 		weight := 0
 		for _, other := range class[i+1:] {
 			rng := nd.rng.Intersect(other.rng)
-			nv := bitvec.New(r.n)
 			var sup int
 			if rng.Empty() {
 				// 0-escaping skipped the AND entirely: a prune without a
 				// support counting.
 				sup = 0
 			} else {
+				if r.scratch == nil {
+					r.scratch = bitvec.New(r.n)
+				}
 				r.met.Support(1)
-				sup, rng = r.andCount(nv, nd.vec, other.vec, rng)
+				sup, rng = r.andCount(r.scratch, nd.vec, other.vec, rng)
 			}
 			if sup < r.minSupport {
 				r.met.Prune()
 			}
 			if sup >= r.minSupport {
-				next = append(next, node{item: other.item, vec: nv, rng: rng, support: sup})
+				// Words outside rng keep stale bits from earlier candidates;
+				// every later AND is restricted to a range inside rng.
+				next = append(next, node{item: other.item, vec: r.scratch, rng: rng, support: sup})
+				r.scratch = nil
 				// Summed supports = occurrences of the surviving items in
 				// the child's projected database: the occurrence unit every
 				// spawn cutoff in this codebase is expressed in (see the
@@ -354,13 +365,18 @@ func (r *run) mine(class []node, prefix []dataset.Item, c mine.Collector) {
 
 // descend recurses into the class sequentially unless the scheduler
 // accepts it as a stealable task. The class slice and its vectors are
-// fresh allocations from this extension step, so handing them to another
-// worker is safe; only the prefix needs copying.
+// owned by this extension step (each survivor took its vector out of the
+// scratch), so handing them to another worker is safe; only the prefix
+// needs copying.
 func (r *run) descend(next []node, weight int, prefix []dataset.Item, c mine.Collector) {
 	if r.sp != nil && r.sp.WouldSteal(weight) {
 		pcopy := append([]dataset.Item(nil), prefix...)
+		// Snapshot the run here, on the spawning goroutine: copying *r
+		// inside the task would race with this recursion's scratch use.
+		snap := *r
+		snap.scratch = nil
 		if r.sp.Offer(weight, func(tc mine.Collector, sp mine.Spawner) error {
-			nr := *r
+			nr := snap
 			nr.sp = sp
 			// A stolen class runs on another worker: it must not share the
 			// spawning recursion's counter block.

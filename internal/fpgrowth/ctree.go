@@ -1,6 +1,10 @@
 package fpgrowth
 
-import "fpm/internal/dataset"
+import (
+	"slices"
+
+	"fpm/internal/dataset"
+)
 
 // compactTree is the P2 data-structure-adapted layout: nodes live in one
 // contiguous arena and link by 32-bit indices, shrinking the node from the
@@ -27,7 +31,9 @@ type compactTree struct {
 
 	nodes []cnode
 	// head[i]/sup[i] index item i's node-link chain head and support; the
-	// header table is a dense array (items are dense ranks).
+	// header table is a dense array (items are dense ranks), kept at the
+	// largest alphabet built so far. Entries of items outside present
+	// are always nilIdx and 0, so a rebuild only resets present ones.
 	head []int32
 	sup  []int32
 
@@ -54,13 +60,22 @@ type cnode struct {
 }
 
 func (t *compactTree) build(base []weightedTx, numItems int) {
+	// Reset the previous build: only its present items dirtied the header
+	// table, so clearing them is O(previous tree), not O(alphabet).
+	for _, it := range t.present {
+		t.head[it] = nilIdx
+		t.sup[it] = 0
+	}
+	t.present = t.present[:0]
+	if len(t.head) < numItems {
+		t.head = make([]int32, numItems)
+		t.sup = make([]int32, numItems)
+		for i := range t.head {
+			t.head[i] = nilIdx
+		}
+	}
 	t.nodes = t.nodes[:0]
 	t.nodes = append(t.nodes, cnode{item: -1, parent: nilIdx, child: nilIdx, sibling: nilIdx, next: nilIdx})
-	t.head = make([]int32, numItems)
-	t.sup = make([]int32, numItems)
-	for i := range t.head {
-		t.head[i] = nilIdx
-	}
 
 	for _, row := range base {
 		cur := int32(0)
@@ -73,6 +88,9 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 				}
 			}
 			if ch == nilIdx {
+				if t.head[it] == nilIdx {
+					t.present = append(t.present, it)
+				}
 				ch = int32(len(t.nodes))
 				t.nodes = append(t.nodes, cnode{
 					item: it, parent: cur, child: nilIdx,
@@ -82,25 +100,13 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 				t.head[it] = ch
 			}
 			t.nodes[ch].count += row.w
+			t.sup[it] += row.w
 			cur = ch
 		}
 	}
-
-	for it := dataset.Item(0); int(it) < numItems; it++ {
-		if t.head[it] == nilIdx {
-			continue
-		}
-		t.present = append(t.present, it)
-		var s int32
-		for n := t.head[it]; n != nilIdx; n = t.nodes[n].next {
-			s += t.nodes[n].count
-		}
-		t.sup[it] = s
-	}
 	// Decreasing id = least frequent first.
-	for i, j := 0, len(t.present)-1; i < j; i, j = i+1, j-1 {
-		t.present[i], t.present[j] = t.present[j], t.present[i]
-	}
+	slices.Sort(t.present)
+	slices.Reverse(t.present)
 
 	if t.dfsOrder {
 		t.reorderDFS()
@@ -114,9 +120,9 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 // to aggSpan-1 ancestor items copied inline, plus the skip index.
 func (t *compactTree) buildSegments() {
 	n := len(t.nodes)
-	t.segOff = make([]int32, n)
-	t.segLen = make([]int8, n)
-	t.skip = make([]int32, n)
+	t.segOff = resize(t.segOff, n)
+	t.segLen = resize(t.segLen, n)
+	t.skip = resize(t.skip, n)
 	t.segs = t.segs[:0]
 	for i := 1; i < n; i++ {
 		t.segOff[i] = int32(len(t.segs))
@@ -179,9 +185,18 @@ func (t *compactTree) reorderDFS() {
 		next[newPos] = nd
 	}
 	t.nodes = next
-	for it := range t.head {
+	for _, it := range t.present {
 		t.head[it] = fix(t.head[it])
 	}
+}
+
+// resize returns s re-sliced to length n, reallocating only when its
+// capacity is short. Callers overwrite every element they read.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func (t *compactTree) items() []dataset.Item { return t.present }

@@ -26,8 +26,6 @@
 package fpgrowth
 
 import (
-	"sort"
-
 	"fpm/internal/cancel"
 	"fpm/internal/dataset"
 	"fpm/internal/lexorder"
@@ -154,7 +152,8 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 
 	st := &state{m: m, minsup: int32(minSupport), collect: c, ord: ord,
 		condFreq: make([]int32, work.NumItems), met: m.opts.Metrics.NewLocal(),
-		tk: m.track(), cf: m.opts.Cancel}
+		tk: m.track(), cf: m.opts.Cancel, compact: m.opts.Patterns.Has(mine.Compact)}
+	st.gather = st.gatherPath
 	st.mineBase(base, work.NumItems)
 	m.opts.Metrics.Flush(st.met)
 	return m.opts.Cancel.Err()
@@ -168,14 +167,24 @@ type state struct {
 	prefix  []dataset.Item
 	// flat is the P4-compacted conditional-base buffer, reused across the
 	// whole recursion.
-	flat []dataset.Item
+	flat    []dataset.Item
+	compact bool
 	// condFreq/condTouched implement a resettable conditional frequency
 	// counter over the global alphabet.
 	condFreq    []int32
 	condTouched []dataset.Item
-	met         *metrics.Local
-	tk          *trace.Track
-	cf          *cancel.Flag
+	// trees[d] and conds[d] are the FP-tree and conditional-base rows of
+	// recursion depth d (the prefix length). They live for one Mine and
+	// are rebuilt in place on reuse: a level's tree and rows stay intact
+	// while deeper levels recurse, because those use their own slots.
+	trees []tree
+	conds [][]weightedTx
+	// cond is the base being gathered by gather (st.gatherPath, bound once).
+	cond   []weightedTx
+	gather func(path []dataset.Item, w int32)
+	met    *metrics.Local
+	tk     *trace.Track
+	cf     *cancel.Flag
 }
 
 func (st *state) emit(support int32) {
@@ -197,18 +206,22 @@ func (st *state) newTree() tree {
 	return &pointerTree{prefetch: st.m.opts.Patterns.Has(mine.Prefetch) || st.m.opts.Patterns.Has(mine.PrefetchPtr)}
 }
 
-// mineBase builds the FP-tree for a pattern base and grows patterns from
-// it, recursing on conditional bases.
+// mineBase builds the FP-tree for a pattern base over the item ids
+// [0, numItems) and grows patterns from it, recursing on conditional bases.
 func (st *state) mineBase(base []weightedTx, numItems int) {
 	if st.cf.Cancelled() {
 		return
 	}
-	t := st.newTree()
+	depth := len(st.prefix)
+	if depth == len(st.trees) {
+		st.trees = append(st.trees, st.newTree())
+		st.conds = append(st.conds, nil)
+	}
+	t := st.trees[depth]
 	t.build(base, numItems)
 	st.met.Node()
 
-	compact := st.m.opts.Patterns.Has(mine.Compact)
-	root := len(st.prefix) == 0
+	root := depth == 0
 
 	for _, e := range t.items() {
 		if st.cf.Cancelled() {
@@ -230,30 +243,10 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 		// Gather the conditional pattern base of e. Count conditional
 		// item frequencies in the same pass.
 		st.condTouched = st.condTouched[:0]
-		var cond []weightedTx
+		st.cond = st.conds[depth][:0]
 		flatStart := len(st.flat)
-		t.condBase(e, func(path []dataset.Item, w int32) {
-			if len(path) == 0 {
-				return
-			}
-			for _, it := range path {
-				if st.condFreq[it] == 0 {
-					st.condTouched = append(st.condTouched, it)
-				}
-				st.condFreq[it] += w
-			}
-			var row []dataset.Item
-			if compact {
-				// P4: copy the path into the shared flat buffer; rows are
-				// re-sliced out of it below once it stops growing.
-				start := len(st.flat)
-				st.flat = append(st.flat, path...)
-				row = st.flat[start:len(st.flat):len(st.flat)]
-			} else {
-				row = append([]dataset.Item(nil), path...)
-			}
-			cond = append(cond, weightedTx{items: row, w: w})
-		})
+		t.condBase(e, st.gather)
+		cond := st.cond
 
 		// Filter to conditionally frequent items; drop empty rows.
 		anyFreq := false
@@ -288,13 +281,16 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 				st.condFreq[it] = 0
 			}
 			if len(sub) > 0 {
-				st.mineBase(sub, numItems)
+				// Every path of e's node-links holds only its ancestors'
+				// items, which rank above e: ids below e.
+				st.mineBase(sub, int(e))
 			}
 		} else {
 			for _, it := range st.condTouched {
 				st.condFreq[it] = 0
 			}
 		}
+		st.conds[depth] = cond[:0]
 		st.flat = st.flat[:flatStart]
 		st.prefix = st.prefix[:len(st.prefix)-1]
 		if root && st.tk != nil {
@@ -303,11 +299,29 @@ func (st *state) mineBase(base []weightedTx, numItems int) {
 	}
 }
 
-// sortRows orders pattern-base rows lexicographically; used by tree builds
-// when the Lex pattern asks for insertion-order locality on conditional
-// trees as well. (The initial database ordering is handled in Mine.)
-func sortRows(base []weightedTx) {
-	sort.SliceStable(base, func(a, b int) bool {
-		return lexorder.Less(base[a].items, base[b].items)
-	})
+// gatherPath appends one node-link's path to the conditional base being
+// gathered in st.cond and counts its items' conditional frequencies. Mine
+// binds it to st.gather once, so the per-item condBase calls allocate no
+// closure.
+func (st *state) gatherPath(path []dataset.Item, w int32) {
+	if len(path) == 0 {
+		return
+	}
+	for _, it := range path {
+		if st.condFreq[it] == 0 {
+			st.condTouched = append(st.condTouched, it)
+		}
+		st.condFreq[it] += w
+	}
+	var row []dataset.Item
+	if st.compact {
+		// P4: copy the path into the shared flat buffer; rows are
+		// re-sliced out of it below once it stops growing.
+		start := len(st.flat)
+		st.flat = append(st.flat, path...)
+		row = st.flat[start:len(st.flat):len(st.flat)]
+	} else {
+		row = append([]dataset.Item(nil), path...)
+	}
+	st.cond = append(st.cond, weightedTx{items: row, w: w})
 }

@@ -31,6 +31,7 @@ func (t *pointerTree) build(base []weightedTx, numItems int) {
 	t.root = &pnode{item: -1}
 	t.head = make(map[dataset.Item]*pnode)
 	t.sup = make(map[dataset.Item]int32)
+	t.present = t.present[:0]
 	for _, row := range base {
 		cur := t.root
 		for _, it := range row.items {

@@ -131,14 +131,15 @@ func Emit(ctx context.Context, ev Event) {
 }
 
 // Events returns a copy of the job's flight-recorder log, oldest first.
-// The bool reports whether the id exists.
+// The bool reports whether the id exists and is retained.
 func (st *Store) Events(id int) (EventLog, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if id < 0 || id >= len(st.jobs) {
+	job := st.jobLocked(id)
+	if job == nil {
 		return EventLog{}, false
 	}
-	r := st.jobs[id].events
+	r := job.events
 	return EventLog{Job: id, Dropped: r.dropped, Events: r.snapshot()}, true
 }
 
@@ -157,9 +158,11 @@ func (st *Store) emitLocked(job *Job, ev Event) {
 
 // emitJob is emitLocked behind the lock, for emissions originating
 // outside the store's critical sections (the context emitter used by the
-// serve path while mining).
+// serve path while mining). An emission for an evicted job is dropped.
 func (st *Store) emitJob(id int, ev Event) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	st.emitLocked(st.jobs[id], ev)
+	if job := st.jobLocked(id); job != nil {
+		st.emitLocked(job, ev)
+	}
 }

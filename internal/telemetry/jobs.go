@@ -154,9 +154,14 @@ type Store struct {
 	retryBase  time.Duration
 	retryMax   time.Duration
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    []*Job
+	mu   sync.Mutex
+	cond *sync.Cond
+	// jobs is indexed by job id; the slot of a terminal job evicted from
+	// retired is nil.
+	jobs []*Job
+	// retired holds the ids of the retained terminal jobs, oldest first;
+	// at most retainTerminal of them.
+	retired []int
 	pending []int // queued job ids, FIFO
 	memUsed int64 // admission reservations of running jobs
 	// admitted counts jobs popped by next() whose run() has not yet
@@ -240,6 +245,13 @@ type StoreStats struct {
 
 // DefaultQueueCap bounds the pending-job queue when StoreConfig.QueueCap is 0.
 const DefaultQueueCap = 64
+
+// retainTerminal bounds how many finished (done, failed, cancelled or
+// requeued) job records the store keeps: past it the oldest is evicted,
+// so a long-running server's memory does not grow with the jobs it has
+// served. Queued and running jobs are never evicted. Each record with its
+// event ring costs a few KiB.
+const retainTerminal = 256
 
 // StoreConfig shapes a job store.
 type StoreConfig struct {
@@ -396,7 +408,7 @@ func (st *Store) Shutdown() {
 	st.closed = true
 	var cancels []context.CancelFunc
 	for _, j := range st.jobs {
-		if j.cancel != nil {
+		if j != nil && j.cancel != nil {
 			cancels = append(cancels, j.cancel)
 		}
 	}
@@ -495,25 +507,52 @@ func (st *Store) recordTerminalLocked(job *Job) {
 		op = JournalOpRequeue
 	}
 	st.journal.Append(JournalRecord{Op: op, Job: job.ID, TS: job.Finished, State: job.State})
+	st.retired = append(st.retired, job.ID)
+	if len(st.retired) > retainTerminal {
+		st.jobs[st.retired[0]] = nil
+		st.retired = st.retired[1:]
+	}
 }
 
-// Get returns a copy of the job's current record.
+// jobLocked returns the record of job id, or nil when the id was never
+// issued or its record was evicted. Callers hold st.mu.
+func (st *Store) jobLocked(id int) *Job {
+	if id < 0 || id >= len(st.jobs) {
+		return nil
+	}
+	return st.jobs[id]
+}
+
+// Evicted reports whether id was issued but its terminal record has since
+// been dropped by the retention bound, as opposed to never issued.
+func (st *Store) Evicted(id int) bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return id >= 0 && id < len(st.jobs) && st.jobs[id] == nil
+}
+
+// Get returns a copy of the job's current record. The bool is false for an
+// id never issued or evicted (see Evicted).
 func (st *Store) Get(id int) (Job, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if id < 0 || id >= len(st.jobs) {
+	job := st.jobLocked(id)
+	if job == nil {
 		return Job{}, false
 	}
-	return *st.jobs[id], true
+	return *job, true
 }
 
-// List returns copies of every job record, oldest first.
+// List returns copies of every retained job record, oldest first: all
+// queued and running jobs plus the most recent terminal ones.
 func (st *Store) List() []Job {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]Job, len(st.jobs))
-	for i, j := range st.jobs {
-		out[i] = *j
+	out := make([]Job, 0, len(st.pending)+st.stats.Running+len(st.retired))
+	for _, j := range st.jobs {
+		if j != nil {
+			out = append(out, *j)
+		}
 	}
 	return out
 }
@@ -522,14 +561,14 @@ func (st *Store) List() []Job {
 // never runs; a running job has its context cancelled and reaches
 // "cancelled" once the kernels unwind (the returned record may still say
 // "running" — poll Get for the final state). Finished jobs are left
-// untouched. The bool reports whether the id exists.
+// untouched. The bool reports whether the id exists and is retained.
 func (st *Store) Cancel(id int) (Job, bool) {
 	st.mu.Lock()
-	if id < 0 || id >= len(st.jobs) {
+	job := st.jobLocked(id)
+	if job == nil {
 		st.mu.Unlock()
 		return Job{}, false
 	}
-	job := st.jobs[id]
 	var cancelRunning context.CancelFunc
 	switch job.State {
 	case "queued":
@@ -576,8 +615,10 @@ func (st *Store) next() (id int, est int64, ok bool) {
 		// Skip jobs cancelled while queued; under Shutdown, drain the
 		// whole queue as cancelled without running anything.
 		for len(st.pending) > 0 {
+			// A job cancelled while queued stays in pending until popped
+			// here, and its record may already be evicted.
 			job := st.jobs[st.pending[0]]
-			if job.State != "queued" {
+			if job == nil || job.State != "queued" {
 				st.pending = st.pending[1:]
 				continue
 			}
@@ -638,7 +679,7 @@ func (st *Store) next() (id int, est int64, ok bool) {
 				// stale id — start over unless this exact job is still
 				// the queued head.
 				if st.aborting || len(st.pending) == 0 || st.pending[0] != id ||
-					st.jobs[id].State != "queued" {
+					st.jobs[id] == nil || st.jobs[id].State != "queued" {
 					continue
 				}
 				st.emitLocked(st.jobs[id], Event{Type: "cache_shed", Estimate: deficit, Freed: freed})
@@ -869,7 +910,7 @@ func (st *Store) sampler() {
 		st.mu.Lock()
 		if st.stats.Running > 0 {
 			for _, j := range st.jobs {
-				if j.State == "running" && cur > j.heapPeak {
+				if j != nil && j.State == "running" && cur > j.heapPeak {
 					j.heapPeak = cur
 				}
 			}

@@ -40,6 +40,10 @@ import (
 //	GET    /jobs/{id} — one job's state and result summary
 //	GET    /jobs/{id}/events — the job's flight-recorder timeline
 //	DELETE /jobs/{id} — cancel a queued or running job
+//
+// A finished job's record is kept until retainTerminal newer jobs finish;
+// after that the per-job endpoints answer 410 Gone for it (404 is for ids
+// never issued).
 type Server struct {
 	mu         sync.Mutex
 	rec        *metrics.Recorder
@@ -199,7 +203,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		log, ok := s.jobs.Events(id)
 		if !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
+			s.noJob(w, id)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -227,9 +231,20 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
+		s.noJob(w, id)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(job)
+}
+
+// noJob answers a request for a job the store does not hold: 410 Gone for
+// an id whose finished record was evicted by the retention bound, 404 for
+// one never issued.
+func (s *Server) noJob(w http.ResponseWriter, id int) {
+	if s.jobs.Evicted(id) {
+		http.Error(w, "job evicted", http.StatusGone)
+		return
+	}
+	http.Error(w, "no such job", http.StatusNotFound)
 }

@@ -430,3 +430,92 @@ func TestStoreQueueFull(t *testing.T) {
 		t.Fatalf("Stats after drain = %+v", js)
 	}
 }
+
+// TestStoreRetainsRecentTerminalJobs checks the retention bound: once more
+// than retainTerminal jobs have finished, the oldest records are evicted —
+// List shrinks to the retained ones, and the per-job endpoints answer 410
+// Gone for an evicted id while keeping 404 for one never issued. Jobs
+// cancelled while queued are evicted while still in the pending queue,
+// which the runners must skip.
+func TestStoreRetainsRecentTerminalJobs(t *testing.T) {
+	const total = 600
+	block := make(chan struct{})
+	srv := NewServer()
+	store := NewStore(func(_ context.Context, req JobRequest, _ *metrics.Recorder) (MineResult, error) {
+		if req.Algo == "block" {
+			<-block
+		}
+		return MineResult{}, nil
+	}, nil, StoreConfig{QueueCap: total})
+	srv.AttachJobs(store)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// Job 0 holds the only runner; the next 300 queue behind it and are
+	// cancelled there, so the oldest of them are evicted before a runner
+	// pops them from the queue.
+	if _, err := store.Submit(JobRequest{Algo: "block"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 300; i++ {
+		if _, err := store.Submit(JobRequest{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := store.Cancel(i); !ok {
+			t.Fatalf("Cancel(%d) found no job", i)
+		}
+	}
+	if n := len(store.List()); n > retainTerminal+1 {
+		t.Fatalf("List holds %d jobs, want at most %d terminal plus 1 running", n, retainTerminal)
+	}
+	close(block)
+	for i := 301; i < total; i++ {
+		if _, err := store.Submit(JobRequest{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+
+	jobs := store.List()
+	if len(jobs) != retainTerminal {
+		t.Fatalf("List holds %d jobs after %d finished, want %d", len(jobs), total, retainTerminal)
+	}
+	for i, j := range jobs {
+		if want := total - retainTerminal + i; j.ID != want {
+			t.Fatalf("List[%d] is job %d, want %d (the most recent, oldest first)", i, j.ID, want)
+		}
+	}
+	if js := store.Stats(); js.Done+js.Cancelled != total {
+		t.Fatalf("Stats = %+v, want %d terminal jobs", js, total)
+	}
+
+	status := func(method, path string) int {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/jobs/0", http.StatusGone},
+		{http.MethodGet, "/jobs/0/events", http.StatusGone},
+		{http.MethodDelete, "/jobs/0", http.StatusGone},
+		{http.MethodGet, fmt.Sprintf("/jobs/%d", total-1), http.StatusOK},
+		{http.MethodGet, fmt.Sprintf("/jobs/%d/events", total-1), http.StatusOK},
+		{http.MethodGet, fmt.Sprintf("/jobs/%d", total), http.StatusNotFound},
+		{http.MethodGet, "/jobs", http.StatusOK},
+	} {
+		if got := status(c.method, c.path); got != c.want {
+			t.Errorf("%s %s = %d, want %d", c.method, c.path, got, c.want)
+		}
+	}
+}
