@@ -514,10 +514,9 @@ func benchSkewSetup() {
 	}
 }
 
-// BenchmarkParallelScaling contrasts the work-stealing scheduler against
-// the static first-level decomposition (the seed's strategy, retained as
-// the FirstLevelOnly ablation) on the skewed workload, for the two
-// Splitter kernels. CI runs this at -benchtime 1x as a regression canary.
+// BenchmarkParallelScaling measures the work-stealing scheduler across
+// worker counts on the skewed workload, for the two Splitter kernels. CI
+// runs this at -benchtime 1x as a regression canary.
 func BenchmarkParallelScaling(b *testing.B) {
 	benchSkewSetup()
 	kernels := []struct {
@@ -526,29 +525,22 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}{{LCM, benchSkewSupport}, {Eclat, benchSkewSupport}}
 	for _, k := range kernels {
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, mode := range []string{"worksteal", "firstlevel"} {
-				k, workers, mode := k, workers, mode
-				name := fmt.Sprintf("%s/%s/workers-%d", k.algo, mode, workers)
-				b.Run(name, func(b *testing.B) {
-					opts := []ParallelOption{}
-					if mode == "firstlevel" {
-						opts = append(opts, parallel.WithFirstLevelOnly(true))
-					}
-					m, err := NewParallel(workers, k.algo, 0, opts...)
-					if err != nil {
+			k, workers := k, workers
+			b.Run(fmt.Sprintf("%s/workers-%d", k.algo, workers), func(b *testing.B) {
+				m, err := NewParallel(workers, k.algo, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < b.N; i++ {
+					var cc CountCollector
+					if err := m.Mine(benchSkew, k.sup, &cc); err != nil {
 						b.Fatal(err)
 					}
-					for i := 0; i < b.N; i++ {
-						var cc CountCollector
-						if err := m.Mine(benchSkew, k.sup, &cc); err != nil {
-							b.Fatal(err)
-						}
-						if cc.N == 0 {
-							b.Fatal("degenerate workload")
-						}
+					if cc.N == 0 {
+						b.Fatal("degenerate workload")
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

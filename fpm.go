@@ -20,7 +20,8 @@
 // or let the library pick the kernel and patterns from the input's
 // characteristics (the paper's §6 future work):
 //
-//	sets, rec, err := fpm.MineAuto(db, 100)
+//	rec := fpm.Recommend(db, 100)
+//	sets, err := fpm.Mine(db, rec.Algorithm, rec.Patterns, 100)
 package fpm
 
 import (
@@ -119,18 +120,7 @@ func Applicable(a Algorithm) PatternSet { return mine.Applicable(a) }
 // NewMiner constructs a miner for the given kernel with the given tuning
 // patterns; patterns outside Applicable(algo) are ignored by the kernels.
 func NewMiner(algo Algorithm, patterns PatternSet) (Miner, error) {
-	switch algo {
-	case LCM:
-		return lcm.New(lcm.Options{Patterns: patterns}), nil
-	case Eclat:
-		return eclat.New(eclat.Options{Patterns: patterns}), nil
-	case FPGrowth:
-		return fpgrowth.New(fpgrowth.Options{Patterns: patterns}), nil
-	case Apriori:
-		return apriori.New(), nil
-	default:
-		return nil, fmt.Errorf("fpm: unknown algorithm %q", algo)
-	}
+	return newInstrumentedMiner(algo, patterns, nil, nil, nil)
 }
 
 // Mine runs one kernel over db and returns every itemset with support >=
@@ -306,8 +296,10 @@ func newInstrumentedMiner(algo Algorithm, patterns PatternSet, rec *MetricsRecor
 		return eclat.New(eclat.Options{Patterns: patterns, Metrics: rec, Trace: tr, Cancel: cf}), nil
 	case FPGrowth:
 		return fpgrowth.New(fpgrowth.Options{Patterns: patterns, Metrics: rec, Trace: tr, Cancel: cf}), nil
+	case Apriori:
+		return apriori.New(), nil
 	default:
-		return NewMiner(algo, patterns)
+		return nil, fmt.Errorf("fpm: unknown algorithm %q", algo)
 	}
 }
 
@@ -627,14 +619,6 @@ func Recommend(db *DB, minSupport int) Recommendation {
 // RecommendFor is Recommend against an explicit machine model.
 func RecommendFor(db *DB, minSupport int, cfg MachineConfig) Recommendation {
 	return tune.Recommend(dataset.ComputeStats(db), minSupport, cfg)
-}
-
-// MineAuto mines with the recommended kernel and patterns, returning the
-// recommendation alongside the results.
-func MineAuto(db *DB, minSupport int) ([]Itemset, Recommendation, error) {
-	rec := Recommend(db, minSupport)
-	sets, err := Mine(db, rec.Algorithm, rec.Patterns, minSupport)
-	return sets, rec, err
 }
 
 // ComputeStats scans the database and returns its characteristics.

@@ -55,25 +55,31 @@ func TestNewMinerUnknown(t *testing.T) {
 	}
 }
 
-func TestMineAutoRunsAndExplains(t *testing.T) {
+func TestRecommendRunsAndExplains(t *testing.T) {
 	db := testDB()
-	sets, rec, err := MineAuto(db, 20)
+	rec := Recommend(db, 20)
+	sets, err := Mine(db, rec.Algorithm, rec.Patterns, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sets) == 0 {
-		t.Fatal("MineAuto found nothing")
+		t.Fatal("recommended kernel found nothing")
 	}
 	if len(rec.Rationale) == 0 {
 		t.Fatal("recommendation has no rationale")
 	}
-	// The recommendation must be reproducible via the explicit path.
-	again, err := Mine(db, rec.Algorithm, rec.Patterns, 20)
+	// The recommendation must be reproducible: the same input yields the
+	// same choice, and mining with it again yields the same sets.
+	again := Recommend(db, 20)
+	if again.Algorithm != rec.Algorithm || again.Patterns != rec.Patterns {
+		t.Fatalf("recommendation not stable: %s then %s", rec, again)
+	}
+	resets, err := Mine(db, again.Algorithm, again.Patterns, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again) != len(sets) {
-		t.Fatalf("explicit path mined %d, auto mined %d", len(again), len(sets))
+	if len(resets) != len(sets) {
+		t.Fatalf("second mine found %d sets, first found %d", len(resets), len(sets))
 	}
 }
 

@@ -84,12 +84,13 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// 5. Rules derived from the full collection are consistent with the
 	// autotuned mining path.
-	sets, rec, err := MineAuto(loaded, minsup)
+	rec := Recommend(loaded, minsup)
+	sets, err := Mine(loaded, rec.Algorithm, rec.Patterns, minsup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sets) != len(want) {
-		t.Fatalf("MineAuto (%s) mined %d sets, reference has %d", rec, len(sets), len(want))
+		t.Fatalf("recommended kernel (%s) mined %d sets, reference has %d", rec, len(sets), len(want))
 	}
 	rules := GenerateRules(sets, loaded.Len(), RuleParams{MinConfidence: 0.7})
 	for _, r := range rules {

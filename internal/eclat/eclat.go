@@ -81,33 +81,25 @@ type node struct {
 
 // Mine implements mine.Miner.
 func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
-	if minSupport < 1 {
-		return mine.ErrBadSupport(minSupport)
-	}
-	if db.Len() == 0 {
-		return nil
-	}
-	return m.mineClasses(db, minSupport, c, nil)
+	return m.MineSplit(db, minSupport, c, nil)
 }
 
-// MineSplit implements mine.Splitter. The result set equals Mine's, but
-// the search is decomposed for stealing at two granularities: the first
-// level projects the database per frequent item — so each subtree's bit
-// matrix spans only the transactions containing its item, keeping the
-// vectors short and dense — and below that, each equivalence class
-// produced by extension may be offered to the scheduler, weighted by the
-// summed supports of its members. That sum is not a different unit from
-// the horizontal kernels': support(prefix ∪ {e}) is the number of
-// occurrences of e in the transactions containing the prefix, so the class
-// weight is the item-occurrence count of the class's (frequent) items in
-// the subtree's conceptual projected database — the same frequent-items
-// occurrence measure mine.SubtreeWeight reports for LCM's conditional
-// databases and dataset.ProjectedWeight approximates for the first-level
-// driver, so one shared spawn cutoff gates comparable work across kernels
-// (modulo LCM's RmDupTrans, which shrinks its count by merging duplicate
-// transactions). A stolen class carries only vectors its members own, a
-// prefix copy and a run snapshot taken before Offer, so it shares no
-// mutable state with the spawning recursion.
+// MineSplit implements mine.Splitter. It builds the vertical bit matrix
+// once, over the whole database, and runs the depth-first class recursion
+// over it; each equivalence class produced by extension may be offered to
+// sp (nil mines sequentially, as Mine does), weighted by the summed
+// supports of its members. That sum is not a different unit from the horizontal
+// kernels': support(prefix ∪ {e}) is the number of occurrences of e in the
+// transactions containing the prefix, so the class weight is the
+// item-occurrence count of the class's (frequent) items in the subtree's
+// conceptual projected database — the same frequent-items occurrence
+// measure mine.SubtreeWeight reports for LCM's conditional databases and
+// dataset.ProjectedWeight approximates for the first-level driver, so one
+// shared spawn cutoff gates comparable work across kernels (modulo LCM's
+// RmDupTrans, which shrinks its count by merging duplicate transactions).
+// A stolen class carries only vectors its members own, a prefix copy and a
+// run snapshot taken before Offer; the root matrix and the lex ordering it
+// shares with the spawning recursion are read-only once built.
 func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
@@ -115,76 +107,6 @@ func (m *Miner) MineSplit(db *dataset.DB, minSupport int, c mine.Collector, sp m
 	if db.Len() == 0 {
 		return nil
 	}
-	if sp == nil {
-		return m.mineClasses(db, minSupport, c, nil)
-	}
-
-	freq := db.Frequencies()
-	met := m.opts.Metrics.NewLocal()
-	defer m.opts.Metrics.Flush(met)
-	single := make([]dataset.Item, 1)
-	for e := dataset.Item(0); int(e) < db.NumItems; e++ {
-		met.Support(1)
-		if freq[e] < minSupport {
-			if freq[e] > 0 {
-				met.Prune()
-			}
-			continue
-		}
-		if m.opts.Cancel.Cancelled() || sp.Cancelled() {
-			return m.opts.Cancel.Err()
-		}
-		single[0] = e
-		met.Emit()
-		c.Collect(single, freq[e])
-		proj := db.Project(e)
-		if proj.Len() == 0 {
-			continue
-		}
-		branch := e
-		run := func(tc mine.Collector, tsp mine.Spawner) error {
-			return m.mineProjected(proj, minSupport, tc, tsp, branch)
-		}
-		w := proj.Weight()
-		if sp.WouldSteal(w) && sp.Offer(w, run) {
-			continue
-		}
-		if err := run(c, sp); err != nil {
-			return err
-		}
-	}
-	return m.opts.Cancel.Err()
-}
-
-// extendCollector appends the first-level branch item to every itemset
-// mined from its projected database. Projection keeps only items below
-// the branch item, so ascending emission order is preserved.
-type extendCollector struct {
-	inner  mine.Collector
-	branch dataset.Item
-	buf    []dataset.Item
-}
-
-func (x *extendCollector) Collect(items []dataset.Item, support int) {
-	x.buf = append(append(x.buf[:0], items...), x.branch)
-	x.inner.Collect(x.buf, support)
-}
-
-// mineProjected mines one first-level projected database, extending every
-// result with the branch item. The extension is part of the recursion
-// context — classes stolen from within this subtree re-apply it on their
-// executing worker (see run.wrap).
-func (m *Miner) mineProjected(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner, branch dataset.Item) error {
-	return m.mineWith(db, minSupport, c, sp, branch, true)
-}
-
-// mineClasses builds the vertical bit matrix for db and runs the
-// depth-first class recursion, offering subtrees to sp when non-nil.
-func (m *Miner) mineClasses(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner) error {
-	return m.mineWith(db, minSupport, c, sp, 0, false)
-}
-
-func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mine.Spawner, branch dataset.Item, hasBranch bool) error {
 
 	lex := m.opts.Patterns.Has(mine.Lex)
 	simd := m.opts.Patterns.Has(mine.SIMD)
@@ -247,7 +169,7 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 		}
 	}
 
-	r := &run{n: n, minSupport: minSupport, andCount: andCount, ord: ord, sp: sp, branch: branch, hasBranch: hasBranch,
+	r := &run{n: n, minSupport: minSupport, andCount: andCount, ord: ord, sp: sp,
 		cf: m.opts.Cancel, rec: m.opts.Metrics, met: m.opts.Metrics.NewLocal()}
 	if sp == nil {
 		r.tk = m.track()
@@ -255,7 +177,7 @@ func (m *Miner) mineWith(db *dataset.DB, minSupport int, c mine.Collector, sp mi
 	// The root supports were just counted from the horizontal scan, one per
 	// alphabet item.
 	r.met.Support(work.NumItems)
-	r.mine(roots, make([]dataset.Item, 0, 32), r.wrap(c))
+	r.mine(roots, make([]dataset.Item, 0, 32), c)
 	m.opts.Metrics.Flush(r.met)
 	return m.opts.Cancel.Err()
 }
@@ -270,8 +192,6 @@ type run struct {
 	andCount   func(dst, a, b *bitvec.Vector, r bitvec.OneRange) (int, bitvec.OneRange)
 	ord        *lexorder.Ordering
 	sp         mine.Spawner
-	branch     dataset.Item // first-level branch item, appended to results
-	hasBranch  bool
 	cf         *cancel.Flag
 	rec        *metrics.Recorder
 	met        *metrics.Local // owned by this run's goroutine; stolen tasks get their own
@@ -280,16 +200,6 @@ type run struct {
 	// as its own and scratch is reallocated on the next candidate, so
 	// failing candidates (most of them) allocate nothing.
 	scratch *bitvec.Vector
-}
-
-// wrap applies the branch extension to a raw collector. Each call builds a
-// fresh extendCollector (own buffer), so tasks on different workers never
-// share emission state.
-func (r *run) wrap(c mine.Collector) mine.Collector {
-	if !r.hasBranch {
-		return c
-	}
-	return &extendCollector{inner: c, branch: r.branch}
 }
 
 func (r *run) emit(c mine.Collector, items []dataset.Item, support int) {
@@ -381,7 +291,7 @@ func (r *run) descend(next []node, weight int, prefix []dataset.Item, c mine.Col
 			// A stolen class runs on another worker: it must not share the
 			// spawning recursion's counter block.
 			nr.met = nr.rec.NewLocal()
-			nr.mine(next, pcopy, nr.wrap(tc))
+			nr.mine(next, pcopy, tc)
 			nr.rec.Flush(nr.met)
 			return nil
 		}) {

@@ -57,10 +57,6 @@ type Options struct {
 	// result set — run-to-run stable. Costs an O(n log n) sort over all
 	// results at merge time.
 	Deterministic bool
-	// FirstLevelOnly disables recursive task spawning even for kernels
-	// that implement mine.Splitter, forcing the static first-level
-	// decomposition. Used by scaling benchmarks as the ablation baseline.
-	FirstLevelOnly bool
 	// Metrics, when non-nil, receives the scheduler's counters: tasks
 	// spawned/offered/stolen, steal failures, shard-merge time and
 	// per-worker utilization. Kernel-level counters (nodes, supports) are
@@ -105,9 +101,6 @@ func WithCutoff(n int) Option { return func(o *Options) { o.Cutoff = n } }
 // WithDeterministicMerge toggles the canonically sorted merge.
 func WithDeterministicMerge(on bool) Option { return func(o *Options) { o.Deterministic = on } }
 
-// WithFirstLevelOnly forces static first-level decomposition.
-func WithFirstLevelOnly(on bool) Option { return func(o *Options) { o.FirstLevelOnly = on } }
-
 // WithMetrics routes scheduler counters into rec.
 func WithMetrics(rec *metrics.Recorder) Option { return func(o *Options) { o.Metrics = rec } }
 
@@ -128,28 +121,23 @@ func New(workers int, factory func() mine.Miner, opts ...Option) *Miner {
 	for _, fn := range opts {
 		fn(&o)
 	}
-	return NewWithOptions(o, factory)
-}
-
-// NewWithOptions is New with explicit Options.
-func NewWithOptions(opts Options, factory func() mine.Miner) *Miner {
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Cutoff <= 0 {
-		opts.Cutoff = DefaultCutoff
+	if o.Cutoff <= 0 {
+		o.Cutoff = DefaultCutoff
 	}
 	// Cache the inner kernel's name: Name must not construct (and throw
 	// away) a miner per call.
 	inner := factory().Name()
-	m := &Miner{opts: opts, factory: factory, name: "parallel(" + inner + ")", inner: inner}
-	if opts.Trace != nil {
+	m := &Miner{opts: o, factory: factory, name: "parallel(" + inner + ")", inner: inner}
+	if o.Trace != nil {
 		// One trace track per worker slot, created once and reused across
 		// Mine calls (the out-of-core miner runs one pool per chunk), so a
 		// multi-chunk run stays one timeline row per worker.
-		m.tracks = make([]*trace.Track, opts.Workers)
+		m.tracks = make([]*trace.Track, o.Workers)
 		for i := range m.tracks {
-			m.tracks[i] = opts.Trace.NewTrack("worker " + strconv.Itoa(i))
+			m.tracks[i] = o.Trace.NewTrack("worker " + strconv.Itoa(i))
 		}
 	}
 	return m
@@ -182,7 +170,7 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	p.inner = m.inner
 	p.cancel = cf
 
-	if _, ok := p.workers[0].inner.(mine.Splitter); ok && !m.opts.FirstLevelOnly {
+	if _, ok := p.workers[0].inner.(mine.Splitter); ok {
 		m.seedSplit(p, db, minSupport)
 	} else if m.seedFirstLevel(p, db, minSupport) == 0 {
 		// Nothing frequent, nothing to schedule. Starting the pool with

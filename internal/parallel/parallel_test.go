@@ -138,24 +138,6 @@ func eqItems(a, b []dataset.Item) bool {
 	return true
 }
 
-// TestFirstLevelOnlyMatches covers the forced first-level path with a
-// Splitter kernel (the scaling benchmark's ablation baseline).
-func TestFirstLevelOnlyMatches(t *testing.T) {
-	db := testDB()
-	want := mine.ResultSet{}
-	if err := lcmFactory().Mine(db, 30, want); err != nil {
-		t.Fatal(err)
-	}
-	m := New(4, lcmFactory, WithFirstLevelOnly(true))
-	rs := mine.ResultSet{}
-	if err := m.Mine(db, 30, rs); err != nil {
-		t.Fatal(err)
-	}
-	if !rs.Equal(want) {
-		t.Fatalf("first-level disagrees:\n%s", rs.Diff(want, 8))
-	}
-}
-
 // mineOrTimeout runs m.Mine and fails the test if it does not return —
 // the zero-seeded-task deadlock manifests as a hang, not an error.
 func mineOrTimeout(t *testing.T, m *Miner, db *dataset.DB, minSupport int, c mine.Collector) error {
@@ -180,20 +162,18 @@ func TestEdgeCases(t *testing.T) {
 		t.Fatal("minSupport 0 accepted")
 	}
 	// minSupport above every item frequency: no results, no error, no
-	// hang — for every kernel and both decomposition paths. The
-	// first-level path (non-Splitter kernels, and any kernel under
-	// FirstLevelOnly) seeds zero tasks here and used to deadlock the pool.
+	// hang — for every kernel. The first-level path (the non-Splitter
+	// FP-Growth and Apriori kernels) seeds zero tasks here and used to
+	// deadlock the pool.
 	db := dataset.New([]dataset.Transaction{{0, 1}, {1, 2}, {0, 2}})
 	for name, factory := range kernelFactories() {
-		for _, firstLevel := range []bool{false, true} {
-			m := New(2, factory, WithFirstLevelOnly(firstLevel))
-			rs := mine.ResultSet{}
-			if err := mineOrTimeout(t, m, db, 100, rs); err != nil {
-				t.Fatalf("%s firstLevel=%v high support: %v", name, firstLevel, err)
-			}
-			if len(rs) != 0 {
-				t.Fatalf("%s firstLevel=%v high support mined %d sets", name, firstLevel, len(rs))
-			}
+		m := New(2, factory)
+		rs := mine.ResultSet{}
+		if err := mineOrTimeout(t, m, db, 100, rs); err != nil {
+			t.Fatalf("%s high support: %v", name, err)
+		}
+		if len(rs) != 0 {
+			t.Fatalf("%s high support mined %d sets", name, len(rs))
 		}
 	}
 }

@@ -61,8 +61,8 @@ func TestWithMetricsSequentialParallelCountersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Emission count is schedule-independent; node/support counts may vary
-	// slightly (stolen subtrees rebuild their counters) but must be close.
+	// TestParallelCountersMatchSequential pins the kernel counters exactly;
+	// this test checks the parallel section the scheduler adds.
 	if seq.Emitted != par.Emitted {
 		t.Errorf("emitted: seq %d, par %d", seq.Emitted, par.Emitted)
 	}
@@ -80,6 +80,31 @@ func TestWithMetricsSequentialParallelCountersAgree(t *testing.T) {
 	}
 	if seq.Parallel != nil {
 		t.Errorf("sequential run has a parallel section: %+v", seq.Parallel)
+	}
+}
+
+// TestParallelCountersMatchSequential pins the split kernels' parallel
+// search to the sequential one: under the scheduler LCM and Eclat run the
+// same recursion on a different schedule, so the kernel counters must be
+// exactly equal, not merely close. Offers depend on timing, so the test
+// asserts nothing about how many tasks were spawned.
+func TestParallelCountersMatchSequential(t *testing.T) {
+	kernelSetup()
+	for _, c := range kernelCorpora[:2] {
+		for _, algo := range []Algorithm{LCM, Eclat} {
+			_, seq, err := WithMetrics(c.db, algo, Applicable(algo), c.support, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, par, err := WithMetrics(c.db, algo, Applicable(algo), c.support, 4, ParallelCutoff(64))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Nodes != par.Nodes || seq.Supports != par.Supports || seq.Prunes != par.Prunes || seq.Emitted != par.Emitted {
+				t.Errorf("%s/%s: sequential nodes=%d supports=%d prunes=%d emitted=%d, parallel nodes=%d supports=%d prunes=%d emitted=%d",
+					c.name, algo, seq.Nodes, seq.Supports, seq.Prunes, seq.Emitted, par.Nodes, par.Supports, par.Prunes, par.Emitted)
+			}
+		}
 	}
 }
 
