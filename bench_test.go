@@ -395,8 +395,8 @@ func sinkInt(b *testing.B, v int) {
 
 // ---------------------------------------------------------------------
 // P2 — the representation choice as data: every database representation
-// (horizontal array, dense bit matrix, sparse tidsets, diffsets,
-// hyper-structure, FP-tree) mining the same dense and sparse workloads.
+// (horizontal array, dense bit matrix, hyper-structure, FP-tree) mining
+// the same dense and sparse workloads.
 // ---------------------------------------------------------------------
 
 func BenchmarkP2Representations(b *testing.B) {
@@ -407,8 +407,6 @@ func BenchmarkP2Representations(b *testing.B) {
 	}{
 		{"lcm-array", func() Miner { m, _ := NewMiner(LCM, 0); return m }},
 		{"eclat-bitmatrix", func() Miner { m, _ := NewMiner(Eclat, 0); return m }},
-		{"eclat-tidset", func() Miner { return NewTidsetEclat() }},
-		{"declat-diffset", func() Miner { return NewDiffsetEclat() }},
 		{"hmine-hyperstruct", func() Miner { return NewHMine() }},
 		{"fpgrowth-tree", func() Miner { m, _ := NewMiner(FPGrowth, 0); return m }},
 	}

@@ -1,6 +1,6 @@
 package fpm
 
-// Cancellation latency tests: every mining mode — the four sequential
+// Cancellation latency tests: every mining mode — the five sequential
 // kernels, the work-stealing pool at 1 and 4 workers, and the out-of-core
 // partitioned path — must return a wrapped context.Canceled within a
 // bounded time of the context being cancelled, leak no goroutines, and
@@ -65,8 +65,17 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 	})
 	err := mineFn(ctx)
 	if err == nil {
-		timer.Stop()
-		t.Skipf("mine completed in under %v; corpus too small for this machine", cancelDelay)
+		if timer.Stop() {
+			t.Skipf("mine completed in under %v; corpus too small for this machine", cancelDelay)
+		}
+		// The timer fired, yet the run completed: only a run that ends as
+		// the flag trips may do so, not one that ignores it.
+		if at := cancelledAt.Load(); at != 0 {
+			if late := time.Since(time.Unix(0, at)); late > cancelBound {
+				t.Fatalf("mine ignored cancellation: completed %v after it, budget %v", late, cancelBound)
+			}
+		}
+		t.Skip("mine completed as it was cancelled")
 	}
 	latency := time.Since(time.Unix(0, cancelledAt.Load()))
 	if !errors.Is(err, context.Canceled) {
@@ -79,11 +88,12 @@ func assertCancelsPromptly(t *testing.T, mineFn func(ctx context.Context) error)
 }
 
 // TestCancelSequentialKernels: lcm, eclat, fpgrowth and hmine poll the
-// flag at recursion nodes on the sequential observed path. All must
-// surface *CancelledError.
+// flag at recursion nodes on the sequential observed path, apriori at every
+// transaction scanned and every candidate-generation row. All must surface
+// *CancelledError.
 func TestCancelSequentialKernels(t *testing.T) {
 	benchSkewSetup()
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, "hmine"} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori, HMine} {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			assertCancelsPromptly(t, func(ctx context.Context) error {

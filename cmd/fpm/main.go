@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	fpm -in transactions.dat -support 100 [-algo lcm|eclat|fpgrowth|apriori|hmine|tidset|diffset|auto]
+//	fpm -in transactions.dat -support 100 [-algo lcm|eclat|fpgrowth|apriori|hmine|auto]
 //	    [-patterns lex,adapt,aggregate,compact,prefetchptr,tile,prefetch,simd|all]
 //	    [-workers N] [-cutoff W] [-det] [-out results.txt] [-count]
 //	    [-partition] [-mem-budget 64M] [-checkpoint file] [-resume] [-chunk-lex]
@@ -17,8 +17,8 @@
 // chunks sized to -mem-budget (bytes, with optional K/M/G suffix) and
 // recounting candidate supports exactly on a second pass. The result is
 // identical to the in-memory run; -partition requires an explicit
-// four-kernel -algo (the autotuner and the alternative miners need the
-// loaded database).
+// lcm, eclat, fpgrowth or apriori -algo (the autotuner needs the loaded
+// database).
 //
 // With -checkpoint (or -resume, which defaults the sidecar to
 // <in>.fpmck) a partitioned run persists its progress after every chunk
@@ -32,11 +32,10 @@
 // (fpm.WithMetrics) whatever its -algo, -algo auto included, so -timeout
 // and -workers apply to every -algo. With -timeout the run is bounded in
 // wall time: the kernels poll a cancellation flag at every recursion node
-// (lcm, eclat, fpgrowth, hmine), the scheduler drops queued tasks, and
-// partitioned runs stop at the next chunk boundary, exiting with a
-// deadline error. Cancellation is cooperative — a sequential apriori run
-// and the tidset/diffset alternatives run to completion, and hmine,
-// tidset and diffset mine sequentially whatever -workers says.
+// (apriori at every transaction scanned and every candidate-generation
+// row), the scheduler drops queued tasks, and partitioned runs stop at the
+// next chunk boundary, exiting with a deadline error. hmine mines
+// sequentially whatever -workers says.
 //
 // With -stats the run's observability counters (nodes expanded, support
 // countings, itemsets emitted, candidate prunes, and — with -workers != 1 —
@@ -100,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		in       = fs.String("in", "", "input transaction file (FIMI format); required")
 		out      = fs.String("out", "", "output file (default stdout)")
-		algo     = fs.String("algo", "auto", "mining kernel: lcm, eclat, fpgrowth, apriori, hmine, tidset, diffset or auto")
+		algo     = fs.String("algo", "auto", "mining kernel: lcm, eclat, fpgrowth, apriori, hmine or auto")
 		support  = fs.Int("support", 0, "absolute minimum support; required")
 		patterns = fs.String("patterns", "", "comma-separated tuning patterns, or \"all\" for every applicable pattern (ignored with -algo auto)")
 		count    = fs.Bool("count", false, "print only the number of frequent itemsets")

@@ -273,6 +273,7 @@ func TestCLITimeout(t *testing.T) {
 		{"-in", heavy, "-support", "2", "-algo", "lcm", "-timeout", "50ms"},
 		{"-in", heavy, "-support", "2", "-algo", "auto", "-timeout", "50ms"},
 		{"-in", heavy, "-support", "2", "-algo", "hmine", "-timeout", "50ms"},
+		{"-in", heavy, "-support", "2", "-algo", "apriori", "-timeout", "50ms"},
 		{"-in", heavy, "-support", "2", "-algo", "lcm", "-partition", "-mem-budget", "64M", "-timeout", "50ms"},
 	} {
 		var stdout, stderr bytes.Buffer

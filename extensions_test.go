@@ -1,8 +1,7 @@
 package fpm
 
 // Tests for the public API of the library extensions: closed/maximal
-// mining, association rules, the alternative vertical representations and
-// the cache-conscious FP-tree.
+// mining, association rules, H-mine and the parallel wrapper.
 
 import (
 	"testing"
@@ -63,26 +62,6 @@ func TestGenerateRulesPublic(t *testing.T) {
 	}
 }
 
-func TestAlternativeVerticalMinersPublic(t *testing.T) {
-	db := testDB()
-	minsup := 20
-	want := ResultSet{}
-	if m, _ := NewMiner(Eclat, 0); m != nil {
-		if err := m.Mine(db, minsup, want); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, m := range []Miner{NewTidsetEclat(), NewDiffsetEclat()} {
-		rs := ResultSet{}
-		if err := m.Mine(db, minsup, rs); err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		if !rs.Equal(want) {
-			t.Fatalf("%s disagrees with the bit-matrix Eclat:\n%s", m.Name(), rs.Diff(want, 5))
-		}
-	}
-}
-
 func TestHMineAndParallelPublic(t *testing.T) {
 	db := testDB()
 	minsup := 20
@@ -112,23 +91,5 @@ func TestHMineAndParallelPublic(t *testing.T) {
 	}
 	if _, err := NewParallel(2, Algorithm("nope"), 0); err == nil {
 		t.Fatal("unknown algorithm accepted by NewParallel")
-	}
-}
-
-func TestCacheConsciousFPGrowthPublic(t *testing.T) {
-	db := testDB()
-	minsup := 20
-	want := ResultSet{}
-	m, _ := NewMiner(FPGrowth, 0)
-	if err := m.Mine(db, minsup, want); err != nil {
-		t.Fatal(err)
-	}
-	cc := NewCacheConsciousFPGrowth(Applicable(FPGrowth))
-	rs := ResultSet{}
-	if err := cc.Mine(db, minsup, rs); err != nil {
-		t.Fatal(err)
-	}
-	if !rs.Equal(want) {
-		t.Fatalf("cache-conscious FP-Growth disagrees:\n%s", rs.Diff(want, 5))
 	}
 }

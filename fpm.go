@@ -5,11 +5,12 @@
 //
 // It provides three depth-first mining kernels with selectable tuning
 // patterns — LCM (horizontal array database), Eclat (vertical bit-matrix)
-// and FP-Growth (FP-tree) — plus an Apriori baseline, synthetic dataset
-// generators matching the paper's evaluation workloads, a trace-driven
-// memory-hierarchy simulator modelling the paper's two platforms, and the
-// experiment harness that regenerates every table and figure of the
-// paper's evaluation (see DESIGN.md and EXPERIMENTS.md).
+// and FP-Growth (FP-tree) — plus an Apriori baseline, the H-mine
+// hyper-structure miner, synthetic dataset generators matching the paper's
+// evaluation workloads, a trace-driven memory-hierarchy simulator
+// modelling the paper's two platforms, and the experiment harness that
+// regenerates every table and figure of the paper's evaluation (see
+// DESIGN.md and EXPERIMENTS.md).
 //
 // Quick start:
 //
@@ -52,7 +53,6 @@ import (
 	"fpm/internal/simkern"
 	"fpm/internal/trace"
 	"fpm/internal/tune"
-	"fpm/internal/vertical"
 )
 
 // Core data model (see internal/dataset).
@@ -112,6 +112,7 @@ const (
 	Eclat    = mine.Eclat
 	FPGrowth = mine.FPGrowth
 	Apriori  = mine.Apriori
+	HMine    = mine.HMine
 )
 
 // Applicable returns the patterns the paper applies to a kernel (Table 4).
@@ -207,19 +208,11 @@ func GenerateRules(sets []Itemset, numTransactions int, p RuleParams) []Rule {
 	return rules.Generate(sets, numTransactions, p)
 }
 
-// NewTidsetEclat returns the sparse-tidset vertical miner (Zaki's classic
-// Eclat) — the sparse alternative of the P2 representation choice.
-func NewTidsetEclat() Miner { return vertical.NewTidset() }
-
-// NewDiffsetEclat returns the diffset (dEclat) vertical miner (Zaki &
-// Gouda, KDD'03), whose sets shrink with recursion depth on dense data.
-func NewDiffsetEclat() Miner { return vertical.NewDiffset() }
-
 // NewHMine returns the H-mine hyper-structure miner (Pei et al., ICDM'01,
 // cited by the paper as an adaptive-data-structure algorithm): transactions
 // are shared, never projected; each recursion level only threads
 // (transaction, position) hyper-links into per-item queues.
-func NewHMine() Miner { return hmine.New() }
+func NewHMine() Miner { return hmine.New(hmine.Options{}) }
 
 // ParallelOption configures NewParallel beyond the worker count.
 type ParallelOption = parallel.Option
@@ -286,8 +279,9 @@ func NewMetricsRecorder() *MetricsRecorder { return metrics.NewRecorder() }
 // kernel-span tracing and optional cooperative cancellation. tr must only
 // be non-nil for miners that will run sequentially — under the scheduler
 // the worker task spans own the timeline (see the kernels' Trace option
-// docs). cf, when non-nil, is polled at every recursion node of the three
-// instrumented kernels; once it trips, Mine returns cf.Err().
+// docs). cf, when non-nil, is polled at every recursion node (Apriori: every
+// transaction scanned and every candidate-generation row); once it trips,
+// Mine returns cf.Err().
 func newInstrumentedMiner(algo Algorithm, patterns PatternSet, rec *MetricsRecorder, tr *trace.Recorder, cf *cancel.Flag) (Miner, error) {
 	switch algo {
 	case LCM:
@@ -297,7 +291,9 @@ func newInstrumentedMiner(algo Algorithm, patterns PatternSet, rec *MetricsRecor
 	case FPGrowth:
 		return fpgrowth.New(fpgrowth.Options{Patterns: patterns, Metrics: rec, Trace: tr, Cancel: cf}), nil
 	case Apriori:
-		return apriori.New(), nil
+		return apriori.New(apriori.Options{Metrics: rec, Cancel: cf}), nil
+	case HMine:
+		return hmine.New(hmine.Options{Metrics: rec, Trace: tr, Cancel: cf}), nil
 	default:
 		return nil, fmt.Errorf("fpm: unknown algorithm %q", algo)
 	}
@@ -330,45 +326,13 @@ func WithContext(ctx context.Context) ParallelOption { return parallel.WithConte
 // miners when they are built with the same recorder (see WithMetrics).
 func ParallelMetrics(rec *MetricsRecorder) ParallelOption { return parallel.WithMetrics(rec) }
 
-// recordingCollector counts emissions for miners without internal
-// instrumentation; the count is flushed into the recorder when mining ends.
-type recordingCollector struct {
-	inner Collector
-	met   *metrics.Local
-}
-
-func (rc *recordingCollector) Collect(items []Item, support int) {
-	rc.met.Emit()
-	rc.inner.Collect(items, support)
-}
-
-// countingMiner wraps an uninstrumented miner so every subtree it mines on
-// a parallel worker records its emissions; the local is flushed per Mine
-// call (one first-level task), which is exactly the coarse-boundary flush
-// discipline the instrumented kernels follow.
-type countingMiner struct {
-	inner Miner
-	rec   *metrics.Recorder
-}
-
-func (cm *countingMiner) Name() string { return cm.inner.Name() }
-
-func (cm *countingMiner) Mine(db *DB, minSupport int, c Collector) error {
-	rc := &recordingCollector{inner: c, met: cm.rec.NewLocal()}
-	err := cm.inner.Mine(db, minSupport, rc)
-	cm.rec.Flush(rc.met)
-	return err
-}
-
 // WithMetrics mines db with run-time counters enabled and returns the run's
 // Snapshot alongside the results — the native-run analogue of Simulate's
 // per-phase report (use SimReport.Snapshot to view a simulation through the
 // same schema). workers == 1 mines sequentially; any other value mines
 // through the work-stealing pool exactly like NewParallel (0 means
-// GOMAXPROCS), with scheduler counters included in the Snapshot. Beyond the
-// four NewMiner kernels, algo accepts "hmine", "tidset" and "diffset"
-// (sequential only — patterns and workers are ignored for them as in the
-// CLI).
+// GOMAXPROCS), with scheduler counters included in the Snapshot. HMine
+// always mines sequentially, whatever workers says.
 //
 // ParallelMetrics routes the run into an existing recorder (so a live
 // telemetry server can scrape the counters mid-run); without it a private
@@ -396,63 +360,35 @@ func WithMetrics(db *DB, algo Algorithm, patterns PatternSet, minSupport, worker
 	if cf != nil {
 		opts = append(opts, parallel.WithCancel(cf))
 	}
-	if algo == "hmine" || algo == "tidset" || algo == "diffset" {
-		workers = 1 // these alternatives mine sequentially, as in the CLI
+	// Through the pool's first-level split at workers=2, H-mine took
+	// 63–64 ms on ap against 17–18 ms sequentially (EXPERIMENTS.md,
+	// "Kernels kept and deleted").
+	if algo == HMine {
+		workers = 1
 	}
-	var (
-		m   Miner
-		err error
-	)
-	switch algo {
-	case "hmine":
-		m = hmine.NewInstrumented(rec, tr, cf)
-	case "tidset":
-		m = vertical.NewTidset()
-	case "diffset":
-		m = vertical.NewDiffset()
-	default:
-		if workers == 1 {
-			m, err = newInstrumentedMiner(algo, patterns, rec, tr, cf)
-		} else {
-			if _, err = NewMiner(algo, patterns); err == nil {
-				m = parallel.New(workers, func() Miner {
-					im, _ := newInstrumentedMiner(algo, patterns, rec, nil, cf)
-					if algo == Apriori {
-						// Not internally instrumented: count each worker's
-						// emissions at its own collector (the scheduler
-						// counts the first-level roots it emits itself).
-						im = &countingMiner{inner: im, rec: rec}
-					}
-					return im
-				}, opts...)
-			}
-		}
-	}
+	m, err := newInstrumentedMiner(algo, patterns, rec, tr, cf)
 	if err != nil {
 		return nil, Snapshot{}, err
 	}
-
-	var sc SliceCollector
-	var c Collector = &sc
-	if (algo == Apriori && workers == 1) || algo == "tidset" || algo == "diffset" {
-		// Not internally instrumented: count emissions at the collector.
-		c = &recordingCollector{inner: &sc, met: rec.NewLocal()}
-	}
 	poolSize := 0
 	if workers != 1 {
+		// The workers' kernels get no tr: the task spans own the timeline.
+		m = parallel.New(workers, func() Miner {
+			im, _ := newInstrumentedMiner(algo, patterns, rec, nil, cf)
+			return im
+		}, opts...)
 		poolSize = workers
 		if poolSize <= 0 {
 			poolSize = runtime.GOMAXPROCS(0)
 		}
 	}
+
+	var sc SliceCollector
 	rec.Start(m.Name(), poolSize)
 	tr.Start(m.Name(), rec)
-	err = m.Mine(db, minSupport, c)
+	err = m.Mine(db, minSupport, &sc)
 	rec.Stop()
 	tr.Stop()
-	if rc, ok := c.(*recordingCollector); ok {
-		rec.Flush(rc.met)
-	}
 	if err != nil {
 		return nil, Snapshot{}, wrapCancelled(err, rec)
 	}
@@ -595,15 +531,6 @@ func MinePartitionedWithConfig(path string, algo Algorithm, patterns PatternSet,
 		return sc.Sets, psnap, ferr
 	}
 	return sc.Sets, psnap, nil
-}
-
-// NewCacheConsciousFPGrowth returns FP-Growth with the depth-first arena
-// relayout of Ghoting et al. (VLDB'05) on top of the given patterns — one
-// of the complementary prior optimizations the paper's Table 4 marks as
-// "( )". The Adapt pattern is implied (the relayout needs the arena
-// layout).
-func NewCacheConsciousFPGrowth(patterns PatternSet) Miner {
-	return fpgrowth.New(fpgrowth.Options{Patterns: patterns.With(Adapt), CacheConscious: true})
 }
 
 // Recommendation re-exports the autotuner's output type.

@@ -34,8 +34,8 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("round trip lost transactions: %d vs %d", loaded.Len(), db.Len())
 	}
 
-	// 3. Mine with every kernel × {baseline, all applicable patterns} and
-	// the alternative vertical representations. All must agree exactly.
+	// 3. Mine with every kernel × {baseline, all applicable patterns}. All
+	// must agree exactly.
 	var want ResultSet
 	check := func(name string, m Miner) {
 		t.Helper()
@@ -63,9 +63,6 @@ func TestEndToEndPipeline(t *testing.T) {
 			check(m.Name(), m)
 		}
 	}
-	check("tidset", NewTidsetEclat())
-	check("diffset", NewDiffsetEclat())
-	check("cache-conscious fpgrowth", NewCacheConsciousFPGrowth(0))
 
 	// 4. Closed/maximal views are consistent subsets.
 	cl, err := MineClosed(loaded, minsup)

@@ -2,23 +2,39 @@
 // (Agrawal & Srikant, VLDB'94). The paper excludes breadth-first search
 // from its tuning study "because the depth-first search algorithms are
 // generally considered to be more efficient", but cites it as the baseline
-// algorithm family; it is provided here so that claim is checkable (see the
-// BenchmarkAprioriVsDepthFirst ablation) and as a reference miner with a
-// completely different enumeration strategy for cross-validation.
+// algorithm family; it is provided here so that claim is checkable (see
+// BenchmarkTable3Apriori) and as a reference miner with a completely
+// different enumeration strategy for cross-validation.
 package apriori
 
 import (
 	"sort"
 
+	"fpm/internal/cancel"
 	"fpm/internal/dataset"
+	"fpm/internal/metrics"
 	"fpm/internal/mine"
 )
 
-// Miner is a level-wise Apriori frequent itemset miner.
-type Miner struct{}
+// Options configures an Apriori miner; the zero value mines without
+// counters or cancellation.
+type Options struct {
+	// Metrics, when non-nil, receives run-time counters: nodes expanded
+	// (levels counted), support countings (item and candidate supports
+	// counted), itemsets emitted and candidate prunes. Nil disables
+	// recording at the cost of one nil-check per counter site.
+	Metrics *metrics.Recorder
+	// Cancel, when non-nil, is polled once per transaction of every
+	// counting scan and once per outer row of candidate generation: once
+	// it trips, Mine returns Cancel.Err(). Nil disables the check.
+	Cancel *cancel.Flag
+}
 
-// New returns an Apriori miner.
-func New() *Miner { return &Miner{} }
+// Miner is a level-wise Apriori frequent itemset miner.
+type Miner struct{ opts Options }
+
+// New returns an Apriori miner with the given options.
+func New(opts Options) *Miner { return &Miner{opts: opts} }
 
 // Name implements mine.Miner.
 func (*Miner) Name() string { return "apriori" }
@@ -26,31 +42,36 @@ func (*Miner) Name() string { return "apriori" }
 // Mine implements mine.Miner: generate candidates level by level, prune by
 // the downward-closure property, and count supports with one database scan
 // per level.
-func (*Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
+func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 	if minSupport < 1 {
 		return mine.ErrBadSupport(minSupport)
 	}
 	if db.Len() == 0 {
 		return nil
 	}
+	cf := m.opts.Cancel
+	met := m.opts.Metrics.NewLocal()
+	defer m.opts.Metrics.Flush(met)
 
 	// Level 1: frequent items.
+	met.Node()
 	freq := db.Frequencies()
 	var level [][]dataset.Item
 	for it := dataset.Item(0); int(it) < db.NumItems; it++ {
-		if freq[it] >= minSupport {
-			c.Collect([]dataset.Item{it}, freq[it])
-			level = append(level, []dataset.Item{it})
-		}
+		level = collect(level, []dataset.Item{it}, freq[it], minSupport, c, met)
 	}
 
 	for k := 2; len(level) > 0; k++ {
-		cands := generateCandidates(level)
+		cands := generateCandidates(level, cf)
 		if len(cands) == 0 {
-			return nil
+			return cf.Err()
 		}
+		met.Node()
 		counts := make([]int, len(cands))
 		for _, t := range db.Tx {
+			if cf.Cancelled() {
+				return cf.Err()
+			}
 			if len(t) < k {
 				continue
 			}
@@ -62,20 +83,34 @@ func (*Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 		}
 		var next [][]dataset.Item
 		for ci, cand := range cands {
-			if counts[ci] >= minSupport {
-				c.Collect(cand, counts[ci])
-				next = append(next, cand)
-			}
+			next = collect(next, cand, counts[ci], minSupport, c, met)
 		}
 		level = next
 	}
 	return nil
 }
 
+// collect accounts for one counted itemset: a frequent one is emitted and
+// appended to the next level, one with support in (0, minSupport) is a
+// prune.
+func collect(next [][]dataset.Item, set []dataset.Item, support, minSupport int, c mine.Collector, met *metrics.Local) [][]dataset.Item {
+	if support == 0 {
+		return next
+	}
+	met.Support(1)
+	if support < minSupport {
+		met.Prune()
+		return next
+	}
+	met.Emit()
+	c.Collect(set, support)
+	return append(next, set)
+}
+
 // generateCandidates joins frequent (k-1)-itemsets sharing a (k-2)-prefix
 // and prunes candidates with an infrequent (k-1)-subset — the classic
-// apriori-gen.
-func generateCandidates(level [][]dataset.Item) [][]dataset.Item {
+// apriori-gen. It returns nil once cf trips.
+func generateCandidates(level [][]dataset.Item, cf *cancel.Flag) [][]dataset.Item {
 	// Index the previous level for the prune step.
 	prev := make(map[string]bool, len(level))
 	for _, s := range level {
@@ -88,6 +123,9 @@ func generateCandidates(level [][]dataset.Item) [][]dataset.Item {
 	var out [][]dataset.Item
 	k1 := len(level[0])
 	for i := 0; i < len(level); i++ {
+		if cf.Cancelled() {
+			return nil
+		}
 		for j := i + 1; j < len(level); j++ {
 			if !samePrefix(level[i], level[j], k1-1) {
 				break

@@ -12,7 +12,7 @@ import (
 func TestHandWorked(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0, 1}, {0, 1, 2}, {0, 2}})
 	rs := mine.ResultSet{}
-	if err := New().Mine(db, 2, rs); err != nil {
+	if err := New(Options{}).Mine(db, 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	want := mine.ResultSet{"0": 3, "1": 2, "2": 2, "0,1": 2, "0,2": 2}
@@ -25,7 +25,7 @@ func TestDeepLevels(t *testing.T) {
 	// All transactions identical: the lattice closes at k=4.
 	db := dataset.New([]dataset.Transaction{{0, 1, 2, 3}, {0, 1, 2, 3}})
 	rs := mine.ResultSet{}
-	if err := New().Mine(db, 2, rs); err != nil {
+	if err := New(Options{}).Mine(db, 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 15 { // 2^4 - 1
@@ -37,14 +37,14 @@ func TestDeepLevels(t *testing.T) {
 }
 
 func TestEdgeCases(t *testing.T) {
-	if err := New().Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
+	if err := New(Options{}).Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := New().Mine(dataset.New([]dataset.Transaction{{0}}), 0, mine.ResultSet{}); err == nil {
+	if err := New(Options{}).Mine(dataset.New([]dataset.Transaction{{0}}), 0, mine.ResultSet{}); err == nil {
 		t.Fatal("minSupport 0 accepted")
 	}
 	rs := mine.ResultSet{}
-	if err := New().Mine(dataset.New([]dataset.Transaction{{0}, {1}}), 2, rs); err != nil {
+	if err := New(Options{}).Mine(dataset.New([]dataset.Transaction{{0}, {1}}), 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 0 {
@@ -56,12 +56,12 @@ func TestGenerateCandidatesPrunes(t *testing.T) {
 	// Frequent 2-sets: {0,1},{0,2} — join gives {0,1,2} but {1,2} is
 	// absent, so the prune step must reject it.
 	level := [][]dataset.Item{{0, 1}, {0, 2}}
-	if got := generateCandidates(level); len(got) != 0 {
+	if got := generateCandidates(level, nil); len(got) != 0 {
 		t.Fatalf("candidates = %v, want none (pruned)", got)
 	}
 	// With {1,2} present the join survives.
 	level = [][]dataset.Item{{0, 1}, {0, 2}, {1, 2}}
-	got := generateCandidates(level)
+	got := generateCandidates(level, nil)
 	if len(got) != 1 || mine.Key(got[0]) != "0,1,2" {
 		t.Fatalf("candidates = %v, want [0,1,2]", got)
 	}
@@ -78,7 +78,7 @@ func TestMatchesBruteForceProperty(t *testing.T) {
 			return false
 		}
 		rs := mine.ResultSet{}
-		if err := New().Mine(db, minsup, rs); err != nil {
+		if err := New(Options{}).Mine(db, minsup, rs); err != nil {
 			return false
 		}
 		if !rs.Equal(want) {

@@ -27,7 +27,6 @@ type compactTree struct {
 	aggregate bool
 	aggSpan   int
 	prefetch  bool
-	dfsOrder  bool
 
 	nodes []cnode
 	// head[i]/sup[i] index item i's node-link chain head and support; the
@@ -108,9 +107,6 @@ func (t *compactTree) build(base []weightedTx, numItems int) {
 	slices.Sort(t.present)
 	slices.Reverse(t.present)
 
-	if t.dfsOrder {
-		t.reorderDFS()
-	}
 	if t.aggregate {
 		t.buildSegments()
 	}
@@ -139,54 +135,6 @@ func (t *compactTree) buildSegments() {
 		} else {
 			t.skip[i] = p
 		}
-	}
-}
-
-// reorderDFS rewrites the arena in depth-first order — the cache-conscious
-// prefix-tree reorganisation of Ghoting et al. (VLDB'05), which the paper
-// lists as prior work ("the depth-first ordering is a reorganization of
-// the tree structure, only to optimize the traversal"). After the rewrite,
-// a node and its first child are adjacent, so downward walks and the upper
-// (hot) levels of upward walks share cache lines.
-func (t *compactTree) reorderDFS() {
-	n := len(t.nodes)
-	order := make([]int32, 0, n) // new position -> old index
-	remap := make([]int32, n)    // old index -> new position
-	stack := make([]int32, 0, 64)
-	stack = append(stack, 0)
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		remap[cur] = int32(len(order))
-		order = append(order, cur)
-		// Push children in reverse sibling order so the first child is
-		// visited (and therefore placed) immediately after its parent.
-		var kids []int32
-		for c := t.nodes[cur].child; c != nilIdx; c = t.nodes[c].sibling {
-			kids = append(kids, c)
-		}
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
-		}
-	}
-	fix := func(idx int32) int32 {
-		if idx == nilIdx {
-			return nilIdx
-		}
-		return remap[idx]
-	}
-	next := make([]cnode, n)
-	for newPos, old := range order {
-		nd := t.nodes[old]
-		nd.parent = fix(nd.parent)
-		nd.child = fix(nd.child)
-		nd.sibling = fix(nd.sibling)
-		nd.next = fix(nd.next)
-		next[newPos] = nd
-	}
-	t.nodes = next
-	for _, it := range t.present {
-		t.head[it] = fix(t.head[it])
 	}
 }
 

@@ -20,37 +20,40 @@ import (
 	"fpm/internal/trace"
 )
 
+// Options configures an H-mine miner; the zero value mines without
+// counters, tracing or cancellation.
+type Options struct {
+	// Metrics, when non-nil, receives run-time counters: nodes expanded
+	// (header tables processed), support countings (queue lengths read),
+	// itemsets emitted and candidate prunes. Nil disables recording.
+	Metrics *metrics.Recorder
+	// Trace, when non-nil, receives one kernel span per first-level
+	// subtree. Only set this on miners running sequentially — under the
+	// scheduler the worker task spans own the timeline. The track is
+	// cached on the Miner and reused across Mine calls, so a tracing Miner
+	// must not run concurrent Mines.
+	Trace *trace.Recorder
+	// Cancel, when non-nil, is polled at every header-table item: once it
+	// trips, the recursion unwinds and Mine returns Cancel.Err().
+	Cancel *cancel.Flag
+}
+
 // Miner is an H-mine frequent itemset miner.
 type Miner struct {
-	rec *metrics.Recorder
-	tr  *trace.Recorder
-	tk  *trace.Track
-	cf  *cancel.Flag
+	opts Options
+	tk   *trace.Track
 }
 
-// New returns an H-mine miner.
-func New() *Miner { return &Miner{} }
-
-// NewInstrumented returns an H-mine miner that records run-time counters
-// into rec — nodes expanded (header tables processed), support countings
-// (queue lengths read), itemsets emitted and candidate prunes — and one
-// kernel-trace span per first-level subtree into tr. Only construct
-// tracing miners for sequential runs — under the scheduler the worker task
-// spans own the timeline. The track is cached on the Miner and reused
-// across Mine calls, so a tracing Miner must not run concurrent Mines. cf, when non-nil, is
-// polled at every header-table item: once it trips, the recursion unwinds
-// and Mine returns cf.Err(). Any argument may be nil.
-func NewInstrumented(rec *metrics.Recorder, tr *trace.Recorder, cf *cancel.Flag) *Miner {
-	return &Miner{rec: rec, tr: tr, cf: cf}
-}
+// New returns an H-mine miner with the given options.
+func New(opts Options) *Miner { return &Miner{opts: opts} }
 
 // track lazily creates the miner's kernel-span track.
 func (m *Miner) track() *trace.Track {
-	if m.tr == nil {
+	if m.opts.Trace == nil {
 		return nil
 	}
 	if m.tk == nil {
-		m.tk = m.tr.NewTrack(m.Name())
+		m.tk = m.opts.Trace.NewTrack(m.Name())
 	}
 	return m.tk
 }
@@ -83,10 +86,10 @@ func (m *Miner) Mine(db *dataset.DB, minSupport int, c mine.Collector) error {
 		}
 	}
 
-	st := &state{db: db, minsup: minSupport, collect: c, met: m.rec.NewLocal(), tk: m.track(), cf: m.cf}
+	st := &state{db: db, minsup: minSupport, collect: c, met: m.opts.Metrics.NewLocal(), tk: m.track(), cf: m.opts.Cancel}
 	st.mineNode(queues, db.NumItems)
-	m.rec.Flush(st.met)
-	return m.cf.Err()
+	m.opts.Metrics.Flush(st.met)
+	return m.opts.Cancel.Err()
 }
 
 type state struct {

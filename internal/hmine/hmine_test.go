@@ -13,7 +13,7 @@ import (
 func TestHandWorked(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0, 1}, {0, 1, 2}, {0, 2}})
 	rs := mine.ResultSet{}
-	if err := New().Mine(db, 2, rs); err != nil {
+	if err := New(Options{}).Mine(db, 2, rs); err != nil {
 		t.Fatal(err)
 	}
 	want := mine.ResultSet{"0": 3, "1": 2, "2": 2, "0,1": 2, "0,2": 2}
@@ -23,15 +23,15 @@ func TestHandWorked(t *testing.T) {
 }
 
 func TestEdgeCases(t *testing.T) {
-	if err := New().Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
+	if err := New(Options{}).Mine(dataset.New(nil), 1, mine.ResultSet{}); err != nil {
 		t.Fatalf("empty: %v", err)
 	}
-	if err := New().Mine(dataset.New([]dataset.Transaction{{0}}), 0, mine.ResultSet{}); err == nil {
+	if err := New(Options{}).Mine(dataset.New([]dataset.Transaction{{0}}), 0, mine.ResultSet{}); err == nil {
 		t.Fatal("minSupport 0 accepted")
 	}
 	// A single long transaction: deepest recursion, all subsets.
 	rs := mine.ResultSet{}
-	if err := New().Mine(dataset.New([]dataset.Transaction{{0, 1, 2, 3, 4, 5, 6, 7}}), 1, rs); err != nil {
+	if err := New(Options{}).Mine(dataset.New([]dataset.Transaction{{0, 1, 2, 3, 4, 5, 6, 7}}), 1, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 255 {
@@ -42,7 +42,7 @@ func TestEdgeCases(t *testing.T) {
 func TestItemsEmittedAscending(t *testing.T) {
 	db := dataset.New([]dataset.Transaction{{0, 1, 2}, {0, 1, 2}})
 	var sc mine.SliceCollector
-	if err := New().Mine(db, 2, &sc); err != nil {
+	if err := New(Options{}).Mine(db, 2, &sc); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range sc.Sets {
@@ -64,7 +64,7 @@ func TestMatchesBruteForceProperty(t *testing.T) {
 			return false
 		}
 		rs := mine.ResultSet{}
-		if err := New().Mine(db, minsup, rs); err != nil {
+		if err := New(Options{}).Mine(db, minsup, rs); err != nil {
 			return false
 		}
 		if !rs.Equal(want) {
@@ -86,7 +86,7 @@ func TestAgreesOnGenerated(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := mine.ResultSet{}
-	if err := New().Mine(db, minsup, rs); err != nil {
+	if err := New(Options{}).Mine(db, minsup, rs); err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) == 0 || !rs.Equal(want) {

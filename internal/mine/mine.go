@@ -92,13 +92,15 @@ func (s PatternSet) Patterns() []Pattern {
 // Algorithm identifies one of the mining kernels under study.
 type Algorithm string
 
-// The three kernels the paper tunes (Table 3) plus the Apriori baseline it
-// cites as the classic breadth-first alternative.
+// The three kernels the paper tunes (Table 3), the Apriori baseline it
+// cites as the classic breadth-first alternative, and H-mine, which it
+// cites among the adaptive-data-structure algorithms.
 const (
 	LCM      Algorithm = "lcm"
 	Eclat    Algorithm = "eclat"
 	FPGrowth Algorithm = "fpgrowth"
 	Apriori  Algorithm = "apriori"
+	HMine    Algorithm = "hmine"
 )
 
 // Applicable returns the set of patterns the paper applies to each kernel

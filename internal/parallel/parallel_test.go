@@ -28,7 +28,7 @@ func kernelFactories() map[string]func() mine.Miner {
 		"lcm":      lcmFactory,
 		"eclat":    func() mine.Miner { return eclat.New(eclat.Options{}) },
 		"fpgrowth": func() mine.Miner { return fpgrowth.New(fpgrowth.Options{}) },
-		"apriori":  func() mine.Miner { return apriori.New() },
+		"apriori":  func() mine.Miner { return apriori.New(apriori.Options{}) },
 	}
 }
 

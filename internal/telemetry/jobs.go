@@ -19,7 +19,7 @@ type JobRequest struct {
 	// serving process.
 	Path string `json:"path"`
 	// Algo is the kernel name ("lcm", "eclat", "fpgrowth", "apriori",
-	// "hmine", "tidset", "diffset").
+	// "hmine").
 	Algo string `json:"algo"`
 	// Patterns is the tuning-pattern list ("lex,simd", "all", "none");
 	// empty means all applicable patterns.

@@ -7,6 +7,7 @@ package fpm
 
 import (
 	"encoding/json"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestWithMetricsMatchesPlainMine(t *testing.T) {
 	}
 	wantRS := resultMap(want)
 
-	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori, "hmine", "tidset", "diffset"} {
+	for _, algo := range []Algorithm{LCM, Eclat, FPGrowth, Apriori, HMine} {
 		for _, workers := range []int{1, 4} {
 			sets, snap, err := WithMetrics(db, algo, 0, minsup, workers)
 			if err != nil {
@@ -104,6 +105,28 @@ func TestParallelCountersMatchSequential(t *testing.T) {
 				t.Errorf("%s/%s: sequential nodes=%d supports=%d prunes=%d emitted=%d, parallel nodes=%d supports=%d prunes=%d emitted=%d",
 					c.name, algo, seq.Nodes, seq.Supports, seq.Prunes, seq.Emitted, par.Nodes, par.Supports, par.Prunes, par.Emitted)
 			}
+		}
+	}
+}
+
+// TestPartitionedAprioriCounted: every kernel counts its own emissions, so
+// a partitioned run reports the same emissions whether its chunks mine
+// sequentially or through the pool — Apriori as well as LCM.
+func TestPartitionedAprioriCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "quest.dat")
+	if err := WriteFIMIFile(path, testDB()); err != nil {
+		t.Fatal(err)
+	}
+	emitted := func(algo Algorithm, workers int) uint64 {
+		rec := NewMetricsRecorder()
+		if _, _, err := MinePartitioned(path, algo, 0, 20, 64<<10, workers, ParallelMetrics(rec)); err != nil {
+			t.Fatalf("%s/w%d: %v", algo, workers, err)
+		}
+		return rec.Snapshot().Emitted
+	}
+	for _, algo := range []Algorithm{LCM, Apriori} {
+		if seq, par := emitted(algo, 1), emitted(algo, 2); seq == 0 || seq != par {
+			t.Errorf("%s: emitted %d at workers=1, %d at workers=2; want equal and > 0", algo, seq, par)
 		}
 	}
 }
